@@ -58,7 +58,7 @@ def _load_json(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CliError(f"malformed JSON in {path} at byte {exc.pos}:"
@@ -84,9 +84,12 @@ def _load_tiling(path: str) -> MorseTiling:
 def _write_out(path: str | None, payload: Any) -> None:
     if path is None:
         return
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from exc
 
 
 def _emit(report: dict, fmt: str) -> None:
@@ -134,7 +137,11 @@ def _cmd_shell_surface(args) -> tuple[int, dict]:
     K = _load_complex(args.complex)
     start = None
     if args.start:
-        start = tuple(int(x) for x in args.start.split(","))
+        try:
+            start = tuple(int(x) for x in args.start.split(","))
+        except ValueError as exc:
+            raise CliError(f"bad --start {args.start!r}: expected comma-separated"
+                           " vertex ids") from exc
     try:
         t = shell_surface(K, start=start)
     except ValueError as exc:
@@ -167,6 +174,8 @@ def _cmd_subdivide(args) -> tuple[int, dict]:
                    "f_vector": list(sd.complex.f_vector)}
     else:
         raise CliError("subdivide needs --tiling or --complex")
+    if args.iterations < 0:
+        raise CliError("--iterations must be non-negative")
     predicted = sum(math.factorial(tile.dim + 1) ** args.iterations
                     for tile in t.tiles)
     if predicted > 10 ** 7:
@@ -214,7 +223,10 @@ def _cmd_vpath_check(args) -> tuple[int, dict]:
     domain = None
     if args.tiling:
         domain = _load_tiling(args.tiling).carrier
-    W = DiscreteVectorField.from_list(pairs, domain=domain)
+    try:
+        W = DiscreteVectorField.from_list(pairs, domain=domain)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CliError(f"bad field file {args.field}: {exc}") from exc
     rep = validate_field(W)
     if not rep.valid:
         return 1, {"valid": False, "errors": rep.errors}

@@ -59,13 +59,16 @@ class SimplicialComplex:
                  _allow_empty: bool = False):
         sims = sorted({simplex(m) for m in maximal}, key=lambda s: (-len(s), s))
         keep: list[Simplex] = []
-        keep_sets: list[set[int]] = []
+        kept_at: dict[int, list[Simplex]] = defaultdict(list)  # vertex -> kept
         for s in sims:  # decreasing size, so faces of kept simplices are dominated
-            ss = set(s)
-            if any(ss <= t for t in keep_sets):
+            # same-size simplices never dominate each other, and a dominating
+            # simplex contains the least vertex
+            if len(s) < len(sims[0]) and any(set(s).issubset(t)
+                                             for t in kept_at[s[0]]):
                 continue
             keep.append(s)
-            keep_sets.append(ss)
+            for v in s:
+                kept_at[v].append(s)
         if not keep and not _allow_empty:
             raise ValueError("empty complex")
         self.maximal_simplices: tuple[Simplex, ...] = tuple(sorted(keep))
@@ -184,20 +187,15 @@ def is_closed_surface(K: SimplicialComplex) -> bool:
     triangles and every vertex link is a single cycle."""
     if K.dim != 2 or any(len(m) != 3 for m in K.maximal_simplices):
         return False
-    tri_of_edge: dict[Simplex, list[Simplex]] = defaultdict(list)
-    for t in K.faces_of_dim(2):
-        for e in combinations(t, 2):
-            tri_of_edge[e].append(t)
-    if any(len(ts) != 2 for ts in tri_of_edge.values()):
-        return False
-    for v in K.vertices:
-        nbrs: dict[int, set[int]] = defaultdict(set)
-        for t in K.faces_of_dim(2):
-            if v in t:
-                a, b = (x for x in t if x != v)
-                nbrs[a].add(b)
-                nbrs[b].add(a)
-        if not nbrs or any(len(s) != 2 for s in nbrs.values()):
+    # all maximal simplices are triangles: build every vertex link in one
+    # pass; x's degree in the link of v counts the triangles on edge vx
+    links: dict[int, dict[int, set[int]]] = defaultdict(lambda: defaultdict(set))
+    for a, b, c in K.maximal_simplices:
+        for v, x, y in ((a, b, c), (b, a, c), (c, a, b)):
+            links[v][x].add(y)
+            links[v][y].add(x)
+    for nbrs in links.values():
+        if any(len(s) != 2 for s in nbrs.values()):
             return False
         seen = set()
         stack = [next(iter(nbrs))]
@@ -235,13 +233,18 @@ def single_face_intersection(K: SimplicialComplex, L: SimplicialComplex) -> bool
 
 
 def _gf2_rank(rows: list[int]) -> int:
-    """Rank of a GF(2) matrix given as int bitsets, by elimination."""
-    pivots: list[int] = []
+    """Rank of a GF(2) matrix given as int bitsets, by elimination with
+    pivot lookup by leading bit: a row is XORed only with the pivot that
+    shares its leading bit, until it vanishes or its leading bit is new
+    (the persistence reduction of Edelsbrunner, Letscher and Zomorodian)."""
+    pivots: dict[int, int] = {}  # leading bit -> pivot row
     for row in rows:
-        for p in pivots:
-            row = min(row, row ^ p)
-        if row:
-            pivots.append(row)
+        while row:
+            lead = row.bit_length() - 1
+            if lead not in pivots:
+                pivots[lead] = row
+                break
+            row ^= pivots[lead]
     return len(pivots)
 
 

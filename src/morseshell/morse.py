@@ -54,7 +54,12 @@ class DiscreteVectorField:
     @classmethod
     def from_list(cls, pairs: Iterable, domain: Iterable[Simplex] | None = None) -> \
             "DiscreteVectorField":
-        matching = {simplex(a): simplex(b) for a, b in pairs}
+        matching: dict[Simplex, Simplex] = {}
+        for a, b in pairs:
+            a = simplex(a)
+            if a in matching:
+                raise ValueError(f"face {a} is matched twice")
+            matching[a] = simplex(b)
         if domain is None:
             dom = frozenset(matching.keys()) | frozenset(matching.values())
         else:
@@ -237,6 +242,7 @@ def morse_function(W: DiscreteVectorField) -> DiscreteMorseFunction:
     by_dim: dict[int, list[Simplex]] = defaultdict(list)
     for f in W.domain:
         by_dim[len(f) - 1].append(f)
+    images = W.images
     values: dict[Simplex, Fraction] = {}
     for p, faces in sorted(by_dim.items()):
         depth: dict[Simplex, int] = {}
@@ -266,7 +272,7 @@ def morse_function(W: DiscreteVectorField) -> DiscreteMorseFunction:
         for f in faces:
             if f in W.matching:
                 values[f] = p + (depth_of(f) + 1) * eps
-            elif f not in W.images:
+            elif f not in images:
                 values[f] = Fraction(p)
     for a, b in W.pairs:
         values[b] = values[a]

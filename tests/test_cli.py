@@ -1,6 +1,12 @@
 """CLI behaviour: subcommands, formats, exit codes, closed loops."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from morseshell.catalog import (
     boundary_sphere,
@@ -8,6 +14,9 @@ from morseshell.catalog import (
     untileable_wheel,
 )
 from morseshell.cli import main
+from morseshell.generators import shell_surface
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def write_complex(tmp_path, K, name="complex.json"):
@@ -20,6 +29,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_process(*argv):
+    """The CLI in a fresh interpreter, so an escaping exception shows as a
+    traceback on stderr."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-m", "morseshell.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def test_betti_command(tmp_path, capsys):
@@ -211,3 +229,39 @@ def test_reports_are_deterministic(tmp_path, capsys):
     _, out1, _ = run(capsys, "betti", "--complex", path)
     _, out2, _ = run(capsys, "betti", "--complex", path)
     assert out1 == out2
+
+
+@pytest.mark.parametrize("pairs", [
+    [[[0], [0, 1]], [[0], [0, 2]]],  # face 0 matched twice
+    [1, 2, 3],  # not a list of pairs
+])
+def test_vpath_check_rejects_malformed_field(tmp_path, pairs):
+    fpath = tmp_path / "field.json"
+    fpath.write_text(json.dumps(pairs))
+    code, out, err = run_process("vpath-check", "--field", str(fpath))
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert "error" in json.loads(err)
+
+
+def _bad_usage_argvs(tmp_path):
+    cpath = write_complex(tmp_path, boundary_sphere(3))
+    spath = tmp_path / "shelling.json"
+    spath.write_text(json.dumps(shell_surface(boundary_sphere(3)).to_dict()))
+    missing = str(tmp_path / "no-such-dir" / "x.json")
+    return {
+        "start": ["shell-surface", "--complex", cpath, "--start", "a,b"],
+        "iterations": ["subdivide", "--tiling", str(spath),
+                       "--iterations", "-1"],
+        "out": ["subdivide", "--complex", cpath, "--out", missing],
+    }
+
+
+@pytest.mark.parametrize("case", ["start", "iterations", "out"])
+def test_usage_errors_exit_2_without_traceback(tmp_path, case):
+    code, out, err = run_process(*_bad_usage_argvs(tmp_path)[case])
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert "error" in json.loads(err)

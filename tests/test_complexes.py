@@ -1,10 +1,13 @@
 """Core simplicial-complex behaviour."""
 
+import random
 from itertools import combinations
 
 import pytest
 
+from morseshell.catalog import genus_two_surface, klein_bottle, octahedron
 from morseshell.complexes import (
+    _gf2_rank,
     barycentric_subdivision,
     betti_numbers_mod2,
     connected_components,
@@ -54,6 +57,27 @@ def test_make_complex_single_triangle():
 
 def test_make_complex_absorbs_dominated():
     assert make_complex([[0, 1], [1, 2], [0, 1, 2]]) == make_complex([[0, 1, 2]])
+
+
+def test_make_complex_drops_duplicates_and_dominated_in_mixed_dimensions():
+    assert make_complex([[0, 1, 2], [1, 2]]).maximal_simplices == ((0, 1, 2),)
+    assert make_complex([[3, 4], [4]]).maximal_simplices == ((3, 4),)
+    tet = [[0, 1, 2, 3]] + [list(t) for t in combinations(range(4), 3)]
+    assert make_complex(tet).maximal_simplices == ((0, 1, 2, 3),)
+    assert make_complex([[2, 0, 1], [1, 2, 0]]).maximal_simplices == ((0, 1, 2),)
+    # the dominating simplex need not share the dominated one's least vertex
+    K = make_complex([[6], [1, 2], [0, 1, 2], [2, 3], [3], [5, 6], [7]])
+    assert K.maximal_simplices == ((0, 1, 2), (2, 3), (5, 6), (7,))
+
+
+def test_make_complex_matches_brute_force_dominance():
+    rng = random.Random(7)
+    for _ in range(200):
+        sims = {tuple(sorted(rng.sample(range(7), rng.randint(1, 4))))
+                for _ in range(rng.randint(1, 12))}
+        expected = tuple(sorted(s for s in sims
+                                if not any(set(s) < set(t) for t in sims)))
+        assert make_complex(sims).maximal_simplices == expected
 
 
 def test_make_complex_empty_input_errors():
@@ -175,6 +199,21 @@ def test_is_closed_surface_negative_cases():
     assert not is_closed_surface(full_simplex(3))
 
 
+def test_is_closed_surface_rejects_octahedra_glued_at_a_vertex():
+    # every edge lies in two triangles, but vertex 5's link is two cycles
+    first = octahedron().maximal_simplices
+    second = [[v + 5 for v in t] for t in first]
+    assert is_closed_surface(make_complex(first))
+    assert is_closed_surface(make_complex(second))
+    assert not is_closed_surface(make_complex([*first, *second]))
+
+
+def test_is_closed_surface_rejects_an_edge_in_four_triangles():
+    # two tetrahedron boundaries sharing the edge (0, 1)
+    K = make_complex([*combinations((0, 1, 2, 3), 3), *combinations((0, 1, 4, 5), 3)])
+    assert not is_closed_surface(K)
+
+
 def test_euler_characteristic_examples():
     assert euler_characteristic(boundary_simplex(3).faces) == 2
     assert euler_characteristic({(0, 1, 2)}) == 1
@@ -195,6 +234,56 @@ def test_betti_circle_and_wedge():
     assert betti_numbers_mod2(circle) == [1, 1]
     wedge = make_complex([[0, 1], [1, 2], [0, 2], [0, 3], [3, 4], [0, 4]])
     assert betti_numbers_mod2(wedge) == [1, 2]
+
+
+def test_betti_subdivided_genus_two_and_klein_bottle():
+    sd = barycentric_subdivision(genus_two_surface()).complex
+    assert betti_numbers_mod2(sd) == [1, 4, 1]
+    assert betti_numbers_mod2(klein_bottle()) == [1, 2, 1]
+
+
+def dense_gf2_rank(rows, ncols):
+    """Reference rank: Gauss-Jordan elimination on a 0/1 matrix, column
+    by column."""
+    m = [[(r >> j) & 1 for j in range(ncols)] for r in rows]
+    rank = 0
+    for col in range(ncols):
+        piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for i in range(len(m)):
+            if i != rank and m[i][col]:
+                m[i] = [a ^ b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def test_gf2_rank_matches_dense_elimination():
+    rng = random.Random(2002)
+    for _ in range(300):
+        ncols = rng.randint(1, 16)
+        density = rng.choice((0.1, 0.3, 0.5, 0.9))
+        rows = [sum(1 << j for j in range(ncols) if rng.random() < density)
+                for _ in range(rng.randint(0, 14))]
+        if rows and rng.random() < 0.5:  # duplicate rows and zero rows
+            rows += [rng.choice(rows), 0]
+            rng.shuffle(rows)
+        assert _gf2_rank(rows) == dense_gf2_rank(rows, ncols), rows
+
+
+def test_gf2_rank_edge_cases():
+    assert _gf2_rank([]) == 0
+    assert _gf2_rank([0, 0, 0]) == 0
+    assert _gf2_rank([0b101, 0b101, 0b101]) == 1
+    assert _gf2_rank([0b011, 0b110, 0b101]) == 2  # rows sum to zero
+    rng = random.Random(5)
+    for n in range(1, 20):
+        # full rank: a random upper unitriangular matrix, rows shuffled
+        rows = [(1 << i) | (rng.getrandbits(n) >> (i + 1) << (i + 1))
+                for i in range(n)]
+        rng.shuffle(rows)
+        assert _gf2_rank(rows) == n == dense_gf2_rank(rows, n)
 
 
 def test_betti_alternating_sum_is_euler():

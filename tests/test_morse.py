@@ -240,3 +240,10 @@ def test_field_json_round_trip():
     f = morse_function(W)
     fback = DiscreteMorseFunction.from_list(f.to_list())
     assert fback.values == dict(f.values)
+
+
+def test_field_from_list_rejects_a_face_matched_twice():
+    with pytest.raises(ValueError, match="twice"):
+        DiscreteVectorField.from_list([[[0], [0, 1]], [[0], [0, 2]]])
+    with pytest.raises(ValueError, match="twice"):
+        DiscreteVectorField.from_list([[[0], [0, 1]], [[0], [1, 0]]])
