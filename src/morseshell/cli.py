@@ -60,6 +60,9 @@ def _load_json(path: str) -> Any:
             return json.load(fh)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path} is not UTF-8 text: byte {exc.start}:"
+                       f" {exc.reason}") from exc
     except json.JSONDecodeError as exc:
         raise CliError(f"malformed JSON in {path} at byte {exc.pos}:"
                        f" {exc.msg}") from exc
@@ -104,6 +107,12 @@ def _emit(report: dict, fmt: str) -> None:
                     print(f"  {line}")
             else:
                 print(f"{key}: {value}")
+
+
+def _tiling_errors(t: MorseTiling) -> dict | None:
+    """The invalid-tiling report, or None when the tiling is valid."""
+    rep = validate_tiling(t)
+    return None if rep.valid else {"valid": False, "errors": rep.errors}
 
 
 def _tiling_summary(t: MorseTiling) -> dict:
@@ -204,9 +213,8 @@ def _cmd_skeleton(args) -> tuple[int, dict]:
 
 def _cmd_field(args) -> tuple[int, dict]:
     t = _load_tiling(args.tiling)
-    vrep = validate_tiling(t)
-    if not vrep.valid:
-        return 1, {"valid": False, "errors": vrep.errors}
+    if bad := _tiling_errors(t):
+        return 1, bad
     W = compatible_field(t)
     rep = validate_field(W)
     _write_out(args.out, W.to_list())
@@ -239,9 +247,8 @@ def _cmd_vpath_check(args) -> tuple[int, dict]:
 
 def _cmd_morse_function(args) -> tuple[int, dict]:
     t = _load_tiling(args.tiling)
-    vrep = validate_tiling(t)
-    if not vrep.valid:
-        return 1, {"valid": False, "errors": vrep.errors}
+    if bad := _tiling_errors(t):
+        return 1, bad
     W = compatible_field(t)
     try:
         f = morse_function(W)
@@ -284,6 +291,8 @@ def _cmd_inequalities(args) -> tuple[int, dict]:
 
 def _cmd_hcounts(args) -> tuple[int, dict]:
     t = _load_tiling(args.tiling)
+    if bad := _tiling_errors(t):
+        return 1, bad
     tab = h_table(t)
     cv = critical_vector(t)
     out = {"basic": [[list(jk), c] for jk, c in sorted(tab.basic.items())],
@@ -298,6 +307,8 @@ def _cmd_hcounts(args) -> tuple[int, dict]:
 
 def _cmd_pack(args) -> tuple[int, dict]:
     t = _load_tiling(args.tiling)
+    if bad := _tiling_errors(t):
+        return 1, bad
     sd = barycentric_subdivision(t.ambient)
     packed = pack_simplices(t, sd)
     used: set[int] = set()

@@ -15,7 +15,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .complexes import SimplicialComplex, Simplex, make_complex
 
@@ -33,9 +33,9 @@ class CyclicWord:
             raise ValueError("empty word")
         if set(self.letters) - set(ALPHABET):
             raise ValueError(f"letters must come from '{ALPHABET}'")
-        best = min(self.letters[i:] + self.letters[:i]
-                   for i in range(len(self.letters)))
-        object.__setattr__(self, "letters", best)
+        k = _least_rotation(self.letters)
+        object.__setattr__(self, "letters",
+                           self.letters[k:] + self.letters[:k])
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -50,9 +50,32 @@ class CyclicWord:
     def is_valid_annulus(self) -> bool:
         return self.count("d") >= 3 and self.count("u") >= 3
 
-    def rotations(self) -> list[str]:
-        return [self.letters[i:] + self.letters[:i]
-                for i in range(len(self.letters))]
+
+def _least_rotation(s: str) -> int:
+    """Start of the lexicographically least rotation of s, in O(len(s)).
+
+    Booth's algorithm (K. S. Booth, "Lexicographically least circular
+    substrings", IPL 10(4), 1980): a Knuth-Morris-Pratt failure function
+    over s + s, relative to the best start k found so far, moves k forward
+    whenever a mismatch shows a smaller rotation.
+    """
+    ss = s + s
+    fail = [-1] * len(ss)
+    k = 0
+    for j in range(1, len(ss)):
+        c = ss[j]
+        i = fail[j - k - 1]
+        while i != -1 and c != ss[k + i + 1]:
+            if c < ss[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if c != ss[k + i + 1]:  # here i == -1
+            if c < ss[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return k
 
 
 def word(letters: str) -> CyclicWord:
@@ -112,21 +135,22 @@ def apply_step(w: CyclicWord, step: RewriteStep) -> CyclicWord:
     raise ValueError(f"unknown rewrite {step.op!r}")
 
 
-def _validity_preserving_steps(w: CyclicWord) -> list[RewriteStep]:
+def _validity_preserving_steps(w: CyclicWord) -> Iterator[RewriteStep]:
     """Every compression or suppression keeping both letter counts >= 3,
-    in a fixed deterministic order."""
-    out = []
+    in a fixed deterministic order: compressions by position, then
+    suppressions by position.  Each rewrite is built only when asked for,
+    so taking the first one costs one rewrite, not one per candidate."""
     s = w.letters
     m = len(s)
+    spare = {c: s.count(c) > 3 for c in ALPHABET}
     for pos in range(m):
-        if s[pos] == s[(pos + 1) % m] and w.count(s[pos]) > 3:
-            out.append(RewriteStep("compress", pos, word_compress(w, pos)))
+        if s[pos] == s[(pos + 1) % m] and spare[s[pos]]:
+            yield RewriteStep("compress", pos, word_compress(w, pos))
     for pos in range(m):
-        triple = "".join(s[(pos + i) % m] for i in range(3))
-        if triple in ("udu", "dud") and w.count(triple[0] if triple == "dud"
-                                                else "u") > 3:
-            out.append(RewriteStep("suppress", pos, word_suppress(w, pos)))
-    return out
+        triple = s[pos] + s[(pos + 1) % m] + s[(pos + 2) % m]
+        # udu -> ud drops a u, dud -> du drops a d
+        if triple in ("udu", "dud") and spare[triple[0]]:
+            yield RewriteStep("suppress", pos, word_suppress(w, pos))
 
 
 @lru_cache(maxsize=None)
@@ -172,10 +196,9 @@ def reduce_word(w: CyclicWord) -> list[RewriteStep]:
     steps: list[RewriteStep] = []
     cur = w
     while len(cur) > 6:
-        candidates = _validity_preserving_steps(cur)
-        if not candidates:  # pragma: no cover
+        step = next(_validity_preserving_steps(cur), None)
+        if step is None:  # pragma: no cover
             raise RuntimeError(f"stuck while shrinking {cur}")
-        step = candidates[0]
         steps.append(step)
         cur = step.result
     if cur == REDUCTION_TARGET:

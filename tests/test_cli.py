@@ -265,3 +265,30 @@ def test_usage_errors_exit_2_without_traceback(tmp_path, case):
     assert out == ""
     assert "Traceback" not in err
     assert "error" in json.loads(err)
+
+
+@pytest.mark.parametrize("command,flag", [("betti", "--complex"),
+                                          ("verify-tiling", "--tiling")])
+def test_non_utf8_input_exits_2_without_traceback(tmp_path, command, flag):
+    path = tmp_path / "input.json"
+    path.write_bytes(b'\xff{"maximal_simplices": [[0, 1, 2]]}')
+    code, out, err = run_process(command, flag, str(path))
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert "UTF-8" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("command", ["hcounts", "pack"])
+def test_tiling_commands_reject_invalid_tiling(tmp_path, command):
+    # the only tile's closure (0, 1, 5) is not a simplex of the complex
+    tpath = tmp_path / "tiling.json"
+    tpath.write_text(json.dumps({
+        "complex": {"maximal_simplices": [[0, 1, 2]]},
+        "tiles": [{"closure": [0, 1, 5]}]}))
+    code, out, err = run_process(command, "--tiling", str(tpath))
+    assert code == 1
+    assert "Traceback" not in err
+    data = json.loads(out)
+    assert data["valid"] is False
+    assert any("(0, 1, 5)" in e for e in data["errors"])

@@ -1,8 +1,12 @@
 """Cyclic word rewriting and the annulus encoding."""
 
+import random
+from collections import deque
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morseshell.catalog import boundary_sphere
 from morseshell.complexes import is_closed_surface, make_complex
@@ -10,6 +14,8 @@ from morseshell.generators import prism_triangulation
 from morseshell.words import (
     REDUCTION_TARGET,
     SIX_LETTER_WORDS,
+    RewriteStep,
+    _validity_preserving_steps,
     annulus_of_word,
     apply_step,
     reduce_word,
@@ -38,6 +44,90 @@ def test_cyclic_word_canonical_rotation():
         word("abc")
     with pytest.raises(ValueError):
         word("")
+
+
+def brute_force_canonical(s):
+    return min(s[i:] + s[:i] for i in range(len(s)))
+
+
+def test_canonical_rotation_exhaustive():
+    for m in range(1, 15):
+        for bits in product("du", repeat=m):
+            s = "".join(bits)
+            assert word(s).letters == brute_force_canonical(s), s
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="du", min_size=1, max_size=300))
+def test_canonical_rotation_matches_brute_force(s):
+    assert word(s).letters == brute_force_canonical(s)
+
+
+def eager_steps(w):
+    """Every validity-preserving rewrite of w, all built at once."""
+    out = []
+    s = w.letters
+    m = len(s)
+    for pos in range(m):
+        if s[pos] == s[(pos + 1) % m] and w.count(s[pos]) > 3:
+            out.append(RewriteStep("compress", pos, word_compress(w, pos)))
+    for pos in range(m):
+        triple = "".join(s[(pos + i) % m] for i in range(3))
+        if triple in ("udu", "dud") and w.count(triple[0] if triple == "dud"
+                                                else "u") > 3:
+            out.append(RewriteStep("suppress", pos, word_suppress(w, pos)))
+    return out
+
+
+def eager_reduce_word(w):
+    """Reference reduction: keep the first of all rewrites until six
+    letters remain, then subdivide once and descend breadth-first."""
+    steps = []
+    cur = w
+    while len(cur) > 6:
+        candidates = eager_steps(cur)
+        assert candidates, f"stuck while shrinking {cur}"
+        steps.append(candidates[0])
+        cur = candidates[0].result
+    if cur == REDUCTION_TARGET:
+        return steps
+    sub = word_subdivide(cur)
+    steps.append(RewriteStep("subdivide", None, sub))
+    parents = {}
+    queue = deque([sub])
+    seen = {sub}
+    while REDUCTION_TARGET not in seen:
+        node = queue.popleft()
+        for step in eager_steps(node):
+            if step.result not in seen:
+                seen.add(step.result)
+                parents[step.result] = (node, step)
+                queue.append(step.result)
+    path = []
+    node = REDUCTION_TARGET
+    while node != sub:
+        node, step = parents[node]
+        path.append(step)
+    return steps + path[::-1]
+
+
+def test_rewrite_candidates_match_eager_oracle():
+    for w in all_valid_words(12):
+        steps = list(_validity_preserving_steps(w))
+        assert steps == eager_steps(w), w
+        assert all(step.result.is_valid_annulus for step in steps)
+
+
+def test_reduce_word_matches_eager_oracle():
+    rng = random.Random(11)
+    for length in [7, 8, 9, 10, 13, 17, 25, 40, 60, 90, 120] * 2:
+        while True:
+            s = "".join(rng.choice("du") for _ in range(length))
+            if s.count("d") >= 3 and s.count("u") >= 3:
+                break
+        w = word(s)
+        assert ([step.to_dict() for step in reduce_word(w)]
+                == [step.to_dict() for step in eager_reduce_word(w)]), s
 
 
 def test_four_six_letter_words():
