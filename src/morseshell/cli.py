@@ -185,6 +185,8 @@ def _cmd_subdivide(args) -> tuple[int, dict]:
         raise CliError("subdivide needs --tiling or --complex")
     if args.iterations < 0:
         raise CliError("--iterations must be non-negative")
+    if bad := _tiling_errors(t):
+        return 1, bad
     predicted = sum(math.factorial(tile.dim + 1) ** args.iterations
                     for tile in t.tiles)
     if predicted > 10 ** 7:
@@ -196,10 +198,10 @@ def _cmd_subdivide(args) -> tuple[int, dict]:
 
 
 def _cmd_skeleton(args) -> tuple[int, dict]:
-    if args.n is None:
-        raise CliError("skeleton needs --n for the dimension")
     if args.tiling:
         t = _load_tiling(args.tiling)
+        if bad := _tiling_errors(t):
+            return 1, bad
         s = skeleton_tiling(t, args.n)
         _write_out(args.out, s.to_dict())
         return 0, _tiling_summary(s)
@@ -337,8 +339,6 @@ def _cmd_pack(args) -> tuple[int, dict]:
 
 
 def _cmd_handle(args) -> tuple[int, dict]:
-    if args.n is None:
-        raise CliError("handle needs --n")
     try:
         t = handle_tiling(args.n, args.variant)
     except ValueError as exc:
@@ -348,8 +348,6 @@ def _cmd_handle(args) -> tuple[int, dict]:
 
 
 def _cmd_prism(args) -> tuple[int, dict]:
-    if args.n is None:
-        raise CliError("prism needs --n")
     try:
         pr = prism_triangulation(args.n)
     except ValueError as exc:
@@ -381,8 +379,6 @@ def _cmd_word_reduce(args) -> tuple[int, dict]:
 
 
 def _cmd_tile_info(args) -> tuple[int, dict]:
-    if args.n is None or args.k is None:
-        raise CliError("tile-info needs --n and --k")
     try:
         if args.l is None:
             tile = standard_tile(args.n, args.k)
@@ -402,24 +398,42 @@ def _cmd_tile_info(args) -> tuple[int, dict]:
     return 0, out
 
 
-_HANDLERS = {
-    "verify-tiling": _cmd_verify_tiling,
-    "verify-shelling": _cmd_verify_shelling,
-    "shell-surface": _cmd_shell_surface,
-    "search-shelling": _cmd_search_shelling,
-    "subdivide": _cmd_subdivide,
-    "skeleton": _cmd_skeleton,
-    "field": _cmd_field,
-    "vpath-check": _cmd_vpath_check,
-    "morse-function": _cmd_morse_function,
-    "betti": _cmd_betti,
-    "inequalities": _cmd_inequalities,
-    "hcounts": _cmd_hcounts,
-    "pack": _cmd_pack,
-    "handle": _cmd_handle,
-    "prism": _cmd_prism,
-    "word-reduce": _cmd_word_reduce,
-    "tile-info": _cmd_tile_info,
+_FLAGS: dict[str, dict] = {
+    "--complex": {},
+    "--tiling": {},
+    "--field": {},
+    "--out": {},
+    "--start": {},
+    "--iterations": {"type": int, "default": 1},
+    "--n": {"type": int},
+    "--k": {"type": int},
+    "--l": {"type": int},
+    "--variant": {"choices": HANDLE_VARIANTS, "default": "one-handle"},
+    "--budget": {"type": int, "default": 10_000_000},
+}
+
+# subcommand -> (handler, required flags, optional flags); every subcommand
+# also takes --format
+_COMMANDS = {
+    "verify-tiling": (_cmd_verify_tiling, ("--tiling",), ()),
+    "verify-shelling": (_cmd_verify_shelling, ("--tiling",), ()),
+    "shell-surface": (_cmd_shell_surface, ("--complex",), ("--start", "--out")),
+    "search-shelling": (_cmd_search_shelling, ("--complex",),
+                        ("--budget", "--out")),
+    "subdivide": (_cmd_subdivide, (),
+                  ("--tiling", "--complex", "--iterations", "--out")),
+    "skeleton": (_cmd_skeleton, ("--n",), ("--tiling", "--complex", "--out")),
+    "field": (_cmd_field, ("--tiling",), ("--out",)),
+    "vpath-check": (_cmd_vpath_check, ("--field",), ("--tiling",)),
+    "morse-function": (_cmd_morse_function, ("--tiling",), ("--out",)),
+    "betti": (_cmd_betti, ("--complex",), ()),
+    "inequalities": (_cmd_inequalities, ("--complex", "--tiling"), ()),
+    "hcounts": (_cmd_hcounts, ("--tiling",), ()),
+    "pack": (_cmd_pack, ("--tiling",), ("--out",)),
+    "handle": (_cmd_handle, ("--n",), ("--variant", "--out")),
+    "prism": (_cmd_prism, ("--n",), ("--out",)),
+    "word-reduce": (_cmd_word_reduce, (), ("--out",)),
+    "tile-info": (_cmd_tile_info, ("--n", "--k"), ("--l",)),
 }
 
 
@@ -428,22 +442,14 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="morseshell",
         description="Morse tilings and shellings of simplicial complexes")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _HANDLERS:
+    for name, (_, required, optional) in _COMMANDS.items():
         p = sub.add_parser(name)
         if name == "word-reduce":
             p.add_argument("word")
-        p.add_argument("--complex")
-        p.add_argument("--tiling")
-        p.add_argument("--field")
-        p.add_argument("--out")
-        p.add_argument("--start")
-        p.add_argument("--iterations", type=int, default=1)
-        p.add_argument("--n", type=int)
-        p.add_argument("--k", type=int)
-        p.add_argument("--l", type=int)
-        p.add_argument("--variant", choices=HANDLE_VARIANTS,
-                       default="one-handle")
-        p.add_argument("--budget", type=int, default=10_000_000)
+        for flag in required:
+            p.add_argument(flag, required=True, **_FLAGS[flag])
+        for flag in optional:
+            p.add_argument(flag, **_FLAGS[flag])
         p.add_argument("--format", choices=("json", "text"), default="json")
     return parser
 
@@ -454,7 +460,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    handler = _HANDLERS[args.command]
+    handler = _COMMANDS[args.command][0]
     try:
         code, report = handler(args)
     except CliError as exc:

@@ -289,10 +289,6 @@ class BarycentricSubdivision:
         return frozenset(f for f in self.complex.faces
                          if self.carrier_face(f) in bs)
 
-    def flag_simplex(self, chain: Iterable[Simplex]) -> Simplex:
-        """Subdivision simplex with the given strictly nested base faces."""
-        return tuple(sorted(self.face_vertex[f] for f in chain))
-
     def subcomplex(self, L: SimplicialComplex) -> SimplicialComplex:
         """The subdivision of a subcomplex, inside this subdivision."""
         if not is_subcomplex(self.base, L):

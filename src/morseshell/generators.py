@@ -12,13 +12,12 @@ from typing import Iterable
 from .complexes import (
     SimplicialComplex,
     Simplex,
-    faces_of,
     is_closed_surface,
     make_complex,
     simplex,
 )
-from .tiles import MorseTile, normalize_tile
-from .tiling import MorseTiling
+from .tiles import MorseTile
+from .tiling import MorseTiling, attach
 
 
 def shell_surface(K: SimplicialComplex,
@@ -63,8 +62,9 @@ def shell_surface(K: SimplicialComplex,
     for comp in comps:
         comp_set = set(comp)
         first = chosen_start if chosen_start in comp_set else comp[0]
-        tiles.append(MorseTile(first))
-        covered.update(faces_of(first))
+        tile, ext = attach(first, covered)
+        tiles.append(tile)
+        covered |= ext
         done = {first}
         edge_count: dict[Simplex, int] = defaultdict(int)
         for e in combinations(first, 2):
@@ -80,8 +80,9 @@ def shell_surface(K: SimplicialComplex,
                     f"frontier edge {e} has {len(nxt)} unshelled triangles;"
                     " the closed-surface invariant failed")
             t = nxt[0]
-            tiles.append(normalize_tile(set(faces_of(t)) - covered))
-            covered.update(faces_of(t))
+            tile, ext = attach(t, covered)
+            tiles.append(tile)
+            covered |= ext
             done.add(t)
             for e2 in combinations(t, 2):
                 edge_count[e2] += 1
@@ -153,7 +154,7 @@ def handle_tiling(n: int, variant: str) -> MorseTiling:
     tiles: list[MorseTile] = []
     covered: set[Simplex] = set()
     for sigma in prism.simplex_order:
-        ext = (set(faces_of(sigma)) - covered) & carrier
-        tiles.append(normalize_tile(ext))
-        covered.update(faces_of(sigma))
+        tile, ext = attach(sigma, covered, carrier)
+        tiles.append(tile)
+        covered |= ext
     return MorseTiling(K, carrier, tuple(tiles), ordered=True)

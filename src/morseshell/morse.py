@@ -17,7 +17,7 @@ from typing import Iterable, Mapping
 
 from .complexes import SimplicialComplex, Simplex, betti_numbers_mod2, simplex
 from .tiles import MorseTile
-from .tiling import MorseTiling, critical_vector, validate_tiling
+from .tiling import MorseTiling, Report, critical_vector, validate_tiling
 
 
 class CyclicFieldError(ValueError):
@@ -67,20 +67,7 @@ class DiscreteVectorField:
         return cls(matching, dom)
 
 
-def critical_cells(W: DiscreteVectorField) -> list[Simplex]:
-    return W.critical_cells()
-
-
-@dataclass
-class FieldReport:
-    valid: bool
-    errors: list[str] = field(default_factory=list)
-
-    def __bool__(self) -> bool:
-        return self.valid
-
-
-def validate_field(W: DiscreteVectorField) -> FieldReport:
+def validate_field(W: DiscreteVectorField) -> Report:
     """Check the four matching conditions: dimension step one, face
     inclusion, disjoint domain and image, injectivity."""
     errors = []
@@ -101,7 +88,7 @@ def validate_field(W: DiscreteVectorField) -> FieldReport:
             errors.append(f"faces {seen[b]} and {a} are both matched to {b}")
         else:
             seen[b] = a
-    return FieldReport(not errors, errors)
+    return Report(not errors, errors)
 
 
 # -- tile fields -------------------------------------------------------------
@@ -289,14 +276,9 @@ def _coface_index(domain: frozenset[Simplex]) -> dict[Simplex, list[Simplex]]:
 
 
 @dataclass
-class MorseFunctionReport:
-    valid: bool
-    errors: list[str] = field(default_factory=list)
+class MorseFunctionReport(Report):
     exceptions: dict = field(default_factory=dict)  # face -> (up, down) counts
     gradient_matches: bool | None = None
-
-    def __bool__(self) -> bool:
-        return self.valid
 
 
 def validate_morse_function(f: DiscreteMorseFunction,
@@ -310,21 +292,24 @@ def validate_morse_function(f: DiscreteMorseFunction,
     for a, cofs in up.items():
         for b in cofs:
             down[b].append(a)
+    gradient: dict[Simplex, Simplex] = {}
+    unique_drops = True
     for face in sorted(f.domain, key=lambda x: (len(x), x)):
-        ups = sum(1 for c in up.get(face, ()) if f.values[c] <= f.values[face])
+        drops = [c for c in up.get(face, ()) if f.values[c] <= f.values[face]]
+        ups = len(drops)
         downs = sum(1 for c in down.get(face, ()) if f.values[c] >= f.values[face])
         if ups or downs:
             exceptions[face] = (ups, downs)
         if ups > 1:
             errors.append(f"face {face}: {ups} cofaces with no larger value")
+            unique_drops = False
+        elif drops:
+            gradient[face] = drops[0]
         if downs > 1:
             errors.append(f"face {face}: {downs} facets with no smaller value")
     matches = None
     if W is not None:
-        try:
-            matches = gradient_of(f).matching == dict(W.matching)
-        except ValueError:
-            matches = False
+        matches = unique_drops and gradient == dict(W.matching)
         if not matches:
             errors.append("extracted gradient differs from the given field")
     return MorseFunctionReport(not errors, errors, exceptions, matches)

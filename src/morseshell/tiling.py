@@ -10,7 +10,7 @@ prefixes are all traces of subcomplexes.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
@@ -90,7 +90,9 @@ class MorseTiling:
 
 
 @dataclass
-class TilingReport:
+class Report:
+    """Outcome of a validator: valid exactly when no error was found."""
+
     valid: bool
     errors: list[str] = field(default_factory=list)
 
@@ -98,7 +100,34 @@ class TilingReport:
         return self.valid
 
 
-def validate_tiling(t: MorseTiling) -> TilingReport:
+def attach(sigma: Simplex, covered: set[Simplex],
+           carrier: frozenset[Simplex] | None = None) -> tuple[MorseTile, set[Simplex]]:
+    """The shelling step: the closed simplex sigma minus the covered faces,
+    restricted to the carrier when one is given.
+
+    Returns the normalized tile and its open faces; raises
+    :class:`NotMorseTileError` when the difference is not a Morse tile.
+    """
+    ext = set(faces_of(sigma)) - covered
+    if carrier is not None:
+        ext &= carrier
+    return normalize_tile(ext), ext
+
+
+def _faces_under_lower_tiles(f: Simplex, d: int,
+                             tile_dim: Mapping[Simplex, int]) -> list[Simplex]:
+    """Proper sub-faces of f whose tile has dimension below d; each one
+    breaks the filtration when f lies in a tile of dimension d."""
+    out = []
+    for r in range(1, len(f)):
+        for sub in combinations(f, r):
+            ds = tile_dim.get(sub)
+            if ds is not None and ds < d:
+                out.append(sub)
+    return out
+
+
+def validate_tiling(t: MorseTiling) -> Report:
     """Check the partition and the dimension-filtration criterion."""
     errors: list[str] = []
     ambient_faces = t.ambient.faces
@@ -124,19 +153,17 @@ def validate_tiling(t: MorseTiling) -> TilingReport:
     if not errors:
         tile_dim = {f: t.tiles[i].dim for f, i in owner.items()}
         for f, d in sorted(tile_dim.items()):
-            for r in range(1, len(f)):
-                for sub in combinations(f, r):
-                    ds = tile_dim.get(sub)
-                    if ds is not None and ds < d:
-                        errors.append(
-                            f"face {sub} lies in a tile of dimension {ds}"
-                            f" under face {f} of a tile of dimension {d};"
-                            f" the union of tiles of dimension > {ds} is not"
-                            " a subcomplex trace")
-    return TilingReport(not errors, errors)
+            for sub in _faces_under_lower_tiles(f, d, tile_dim):
+                ds = tile_dim[sub]
+                errors.append(
+                    f"face {sub} lies in a tile of dimension {ds}"
+                    f" under face {f} of a tile of dimension {d};"
+                    f" the union of tiles of dimension > {ds} is not"
+                    " a subcomplex trace")
+    return Report(not errors, errors)
 
 
-def validate_shelling(t: MorseTiling) -> TilingReport:
+def validate_shelling(t: MorseTiling) -> Report:
     """Check tiling validity plus the prefix filtration of the tile order."""
     if not t.ordered:
         raise ValueError("tiling is not marked as ordered")
@@ -153,7 +180,7 @@ def validate_shelling(t: MorseTiling) -> TilingReport:
                             f"prefix {idx + 1}: carrier face {sub} under"
                             f" {f} is missing, so the prefix is not a"
                             " subcomplex trace")
-    return TilingReport(not errors, errors)
+    return Report(not errors, errors)
 
 
 def classical_shelling_order(K: SimplicialComplex,
@@ -166,9 +193,8 @@ def classical_shelling_order(K: SimplicialComplex,
     covered: set[Simplex] = set()
     tiles: list[MorseTile] = []
     for i, sigma in enumerate(ms):
-        ext = set(faces_of(sigma)) - covered
         try:
-            tile = normalize_tile(ext)
+            tile, ext = attach(sigma, covered)
         except NotMorseTileError as exc:
             raise NotShellableError(
                 f"step {i + 1} ({sigma}): difference is not a Morse tile:"
@@ -421,69 +447,50 @@ def search_shelling(K: SimplicialComplex,
     the space.  Raises :class:`SearchBudgetExceeded` past the node budget.
     Only shellings whose tile closures are maximal simplices exist for a
     full complex, so the ordering search is complete.
+
+    The search keeps an explicit stack of attached simplices, so its depth
+    is not bounded by the interpreter's recursion limit.  A candidate's new
+    faces cannot lie under a covered face (that face's closed simplex was
+    attached whole), so only their sub-faces are checked.
     """
     ms = list(K.maximal_simplices)
     n = len(ms)
-    face_lists = [sorted(faces_of(s)) for s in ms]
-    cofaces: dict[Simplex, list[Simplex]] = defaultdict(list)
-    for f in K.faces:
-        for r in range(1, len(f)):
-            for sub in combinations(f, r):
-                cofaces[sub].append(f)
-
     tile_dim: dict[Simplex, int] = {}
     covered: set[Simplex] = set()
     used = [False] * n
-    chosen: list[int] = []
+    stack: list[tuple[int, MorseTile, set[Simplex]]] = []
     nodes = 0
-
-    def admissible(ext: list[Simplex], d: int) -> bool:
-        for f in ext:
-            for r in range(1, len(f)):
-                for sub in combinations(f, r):
-                    ds = tile_dim.get(sub)
-                    if ds is not None and ds < d:
-                        return False
-            for sup in cofaces[f]:
-                ds = tile_dim.get(sup)
-                if ds is not None and ds > d:
-                    return False
-        return True
-
-    def rec() -> list[MorseTile] | None:
-        nonlocal nodes
-        if len(chosen) == n:
-            return []
-        for i in range(n):
+    start = 0
+    while len(stack) < n:
+        for i in range(start, n):
             if used[i]:
                 continue
             nodes += 1
             if nodes > budget:
                 raise SearchBudgetExceeded(
                     f"gave up after {budget} search nodes")
-            ext = [f for f in face_lists[i] if f not in covered]
             try:
-                tile = normalize_tile(ext)
+                tile, ext = attach(ms[i], covered)
             except NotMorseTileError:
                 continue
-            if not admissible(ext, tile.dim):
-                continue
-            used[i] = True
-            chosen.append(i)
-            covered.update(ext)
-            for f in ext:
-                tile_dim[f] = tile.dim
-            rest = rec()
-            if rest is not None:
-                return [tile] + rest
+            if not any(_faces_under_lower_tiles(f, tile.dim, tile_dim)
+                       for f in ext):
+                break
+        else:  # no simplex extends this prefix: undo its last step
+            if not stack:
+                return None
+            i, _, ext = stack.pop()
             used[i] = False
-            chosen.pop()
-            covered.difference_update(ext)
+            covered -= ext
             for f in ext:
                 del tile_dim[f]
-        return None
-
-    tiles = rec()
-    if tiles is None:
-        return None
-    return MorseTiling.over_complex(K, tiles, ordered=True)
+            start = i + 1
+            continue
+        used[i] = True
+        covered |= ext
+        for f in ext:
+            tile_dim[f] = tile.dim
+        stack.append((i, tile, ext))
+        start = 0
+    return MorseTiling.over_complex(K, [tile for _, tile, _ in stack],
+                                    ordered=True)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -292,3 +293,65 @@ def test_tiling_commands_reject_invalid_tiling(tmp_path, command):
     data = json.loads(out)
     assert data["valid"] is False
     assert any("(0, 1, 5)" in e for e in data["errors"])
+
+
+@pytest.mark.parametrize("argv", [["subdivide"], ["skeleton", "--n", "1"]])
+def test_subdivide_and_skeleton_reject_invalid_tiling(tmp_path, argv):
+    # the only tile's closure (0, 1, 5) is not a simplex of the complex
+    tpath = tmp_path / "tiling.json"
+    tpath.write_text(json.dumps({
+        "complex": {"maximal_simplices": [[0, 1, 2]]},
+        "tiles": [{"closure": [0, 1, 5]}]}))
+    code, out, err = run_process(*argv, "--tiling", str(tpath))
+    assert code == 1
+    assert "Traceback" not in err
+    data = json.loads(out)
+    assert data["valid"] is False
+    assert any("(0, 1, 5)" in e for e in data["errors"])
+
+
+def test_flag_of_another_command_rejected(tmp_path):
+    path = write_complex(tmp_path, boundary_sphere(3))
+    code, out, err = run_process("betti", "--complex", path, "--n", "3")
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["handle"], ["prism"], ["skeleton"],
+                                  ["tile-info", "--n", "3"], ["betti"],
+                                  ["verify-tiling"], ["field"]])
+def test_missing_required_flag_exits_2(argv):
+    code, out, err = run_process(*argv)
+    assert code == 2
+    assert out == ""
+    assert "required" in err and "Traceback" not in err
+
+
+COMMAND_FLAGS = {
+    "verify-tiling": {"--tiling"},
+    "verify-shelling": {"--tiling"},
+    "shell-surface": {"--complex", "--start", "--out"},
+    "search-shelling": {"--complex", "--budget", "--out"},
+    "subdivide": {"--tiling", "--complex", "--iterations", "--out"},
+    "skeleton": {"--n", "--tiling", "--complex", "--out"},
+    "field": {"--tiling", "--out"},
+    "vpath-check": {"--field", "--tiling"},
+    "morse-function": {"--tiling", "--out"},
+    "betti": {"--complex"},
+    "inequalities": {"--complex", "--tiling"},
+    "hcounts": {"--tiling"},
+    "pack": {"--tiling", "--out"},
+    "handle": {"--n", "--variant", "--out"},
+    "prism": {"--n", "--out"},
+    "word-reduce": {"--out"},
+    "tile-info": {"--n", "--k", "--l"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_help_lists_only_the_commands_flags(capsys, command):
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0
+    listed = set(re.findall(r"--[a-z]+", out))
+    assert listed == COMMAND_FLAGS[command] | {"--help", "--format"}

@@ -1,5 +1,8 @@
 """Surface shellings, prisms, handles and the catalog complexes."""
 
+import json
+from hashlib import sha256
+
 import pytest
 
 from morseshell.catalog import (
@@ -17,12 +20,14 @@ from morseshell.complexes import (
     make_complex,
 )
 from morseshell.generators import (
+    HANDLE_VARIANTS,
     handle_tiling,
     prism_triangulation,
     shell_surface,
 )
 from morseshell.morse import compatible_field, find_closed_vpath
 from morseshell.tiling import (
+    NotShellableError,
     classical_shelling_order,
     critical_vector,
     h_table,
@@ -264,3 +269,72 @@ def test_corpus_topology():
         b, chi = expected[name]
         assert betti_numbers_mod2(K) == b, name
         assert euler_characteristic(K.faces) == chi, name
+
+
+# sha256 prefixes of each builder's JSON, recorded while every builder still
+# wrote out its own closed-simplex-minus-covered step; the shared step must
+# not change a byte
+BUILDER_DIGESTS = {
+    "shell_surface/boundary-sphere-2": "41d9daea5ab65713",
+    "classical/boundary-sphere-2": "41d9daea5ab65713",
+    "shell_surface/octahedron": "2d627f171d88d5ca",
+    "classical/octahedron": "2d627f171d88d5ca",
+    "shell_surface/icosahedron": "77ba113fb852552b",
+    "classical/icosahedron": "77ba113fb852552b",
+    "shell_surface/bipyramid-4": "41ef8531c1f7c96c",
+    "classical/bipyramid-4": "41ef8531c1f7c96c",
+    "shell_surface/bipyramid-6": "51e424e514704c31",
+    "classical/bipyramid-6": "51e424e514704c31",
+    "shell_surface/subdivided-sphere": "0f5143d372860435",
+    "classical/subdivided-sphere": "0f5143d372860435",
+    "shell_surface/torus-7": "febf8d04913b7bae",
+    "classical/torus-7": "5de776ba938c0af2",
+    "shell_surface/klein-bottle": "381841a250465b1f",
+    "classical/klein-bottle": "2c562de45e4c3139",
+    "shell_surface/projective-plane": "e33c3700df9ebcce",
+    "classical/projective-plane": "790338c1d014c82c",
+    "shell_surface/genus-2": "df07badd3979e793",
+    "classical/genus-2": "23ae40423282bc98",
+    "classical/prism-2": "d8be70947c98819a",
+    "one-handle/2": "1911d3181c67385a",
+    "co-handle/2": "b8fd3c18cd200801",
+    "lateral/2": "5e22ea9db0658085",
+    "classical/prism-3": "48a89c15c26aaf86",
+    "one-handle/3": "fed65204431871b4",
+    "co-handle/3": "c161e45535b7b4a6",
+    "lateral/3": "9abe37e4591e464e",
+    "classical/prism-4": "907da5385d54d985",
+    "one-handle/4": "5232c6c26ea07696",
+    "co-handle/4": "3ad91cca8ca09c0c",
+    "lateral/4": "98590c54b6abab02",
+    "classical/prism-5": "3aa73af82c3f9dd4",
+    "one-handle/5": "33fe7e98ad5e8ce5",
+    "co-handle/5": "b7c0f2f9dc430fda",
+    "lateral/5": "0e0c15672cc03f2b",
+}
+
+
+def builder_outputs():
+    out = {}
+    for name, K in surface_corpus():
+        t = shell_surface(K)
+        out[f"shell_surface/{name}"] = t.to_dict()
+        try:
+            out[f"classical/{name}"] = classical_shelling_order(
+                K, [tile.closure for tile in t.tiles]).to_dict()
+        except NotShellableError as exc:
+            out[f"classical/{name}"] = ["NotShellableError", exc.index,
+                                        str(exc)]
+    for n in range(2, 6):
+        pr = prism_triangulation(n)
+        out[f"classical/prism-{n}"] = classical_shelling_order(
+            pr.complex, pr.simplex_order).to_dict()
+        for variant in HANDLE_VARIANTS:
+            out[f"{variant}/{n}"] = handle_tiling(n, variant).to_dict()
+    return out
+
+
+def test_builders_keep_their_outputs():
+    for key, data in builder_outputs().items():
+        blob = json.dumps(data, sort_keys=True).encode()
+        assert sha256(blob).hexdigest()[:16] == BUILDER_DIGESTS[key], key

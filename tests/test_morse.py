@@ -15,8 +15,10 @@ from morseshell.tiles import (
 )
 from morseshell.tiling import (
     MorseTiling,
+    Report,
     critical_vector,
     subdivide_tiling,
+    validate_tiling,
 )
 from morseshell.morse import (
     CyclicFieldError,
@@ -247,3 +249,36 @@ def test_field_from_list_rejects_a_face_matched_twice():
         DiscreteVectorField.from_list([[[0], [0, 1]], [[0], [0, 2]]])
     with pytest.raises(ValueError, match="twice"):
         DiscreteVectorField.from_list([[[0], [0, 1]], [[0], [1, 0]]])
+
+
+def test_gradient_matches_false_for_another_field():
+    K = full_simplex(1)
+    # vertex 0 lies level with its only coface: the gradient pairs them
+    values = {(0,): Fraction(1), (1,): Fraction(0), (0, 1): Fraction(1)}
+    f = DiscreteMorseFunction(values, K.faces)
+    assert validate_morse_function(f, gradient_of(f)).gradient_matches
+    other = DiscreteVectorField({(1,): (0, 1)}, K.faces)
+    rep = validate_morse_function(f, other)
+    assert rep.gradient_matches is False and not rep.valid
+
+
+def test_gradient_matches_false_with_two_falling_cofaces():
+    K = full_simplex(2)
+    # vertex 0 lies above both edges through it
+    values = {f: Fraction(len(f) - 1) for f in K.faces} | {(0,): Fraction(2)}
+    f = DiscreteMorseFunction(values, K.faces)
+    with pytest.raises(ValueError):
+        gradient_of(f)
+    # every other face agrees with the empty field, so only the two falling
+    # cofaces of (0,) can make the gradient differ
+    rep = validate_morse_function(f, DiscreteVectorField({}, K.faces))
+    assert rep.gradient_matches is False
+    assert "face (0,): 2 cofaces with no larger value" in rep.errors
+
+
+def test_validators_share_one_report_type():
+    t = sphere_partition(2)
+    W = compatible_field(t)
+    rep = validate_morse_function(morse_function(W), W)
+    for r in (validate_tiling(t), validate_field(W), rep):
+        assert isinstance(r, Report) and bool(r) is r.valid is True

@@ -1,5 +1,6 @@
 """Tiling and shelling validation, censuses, skeleton tilings, search."""
 
+import random
 from itertools import combinations, permutations
 
 import pytest
@@ -335,6 +336,114 @@ def test_search_shelling_budget():
     K = boundary_simplex(4)
     with pytest.raises(SearchBudgetExceeded):
         search_shelling(K, budget=2)
+
+
+def test_search_shelling_long_path():
+    # one stack frame per maximal simplex: far past the recursion limit
+    K = make_complex([(i, i + 1) for i in range(1200)])
+    t = search_shelling(K)
+    assert len(t.tiles) == 1200
+    assert validate_shelling(t).valid
+
+
+def recursive_search_shelling(K, budget):
+    """Oracle: the search as one recursive call per attached simplex, with
+    the coface half of the admissibility check, which the explicit-stack
+    search leaves out."""
+    from collections import defaultdict
+
+    from morseshell.complexes import faces_of
+    from morseshell.tiles import NotMorseTileError, normalize_tile
+
+    ms = list(K.maximal_simplices)
+    n = len(ms)
+    face_lists = [sorted(faces_of(s)) for s in ms]
+    cofaces = defaultdict(list)
+    for f in K.faces:
+        for r in range(1, len(f)):
+            for sub in combinations(f, r):
+                cofaces[sub].append(f)
+    tile_dim = {}
+    covered = set()
+    used = [False] * n
+    chosen = []
+    nodes = 0
+
+    def admissible(ext, d):
+        for f in ext:
+            for r in range(1, len(f)):
+                for sub in combinations(f, r):
+                    ds = tile_dim.get(sub)
+                    if ds is not None and ds < d:
+                        return False
+            for sup in cofaces[f]:
+                ds = tile_dim.get(sup)
+                if ds is not None and ds > d:
+                    return False
+        return True
+
+    def rec():
+        nonlocal nodes
+        if len(chosen) == n:
+            return []
+        for i in range(n):
+            if used[i]:
+                continue
+            nodes += 1
+            if nodes > budget:
+                raise SearchBudgetExceeded(
+                    f"gave up after {budget} search nodes")
+            ext = [f for f in face_lists[i] if f not in covered]
+            try:
+                tile = normalize_tile(ext)
+            except NotMorseTileError:
+                continue
+            if not admissible(ext, tile.dim):
+                continue
+            used[i] = True
+            chosen.append(i)
+            covered.update(ext)
+            for f in ext:
+                tile_dim[f] = tile.dim
+            rest = rec()
+            if rest is not None:
+                return [tile] + rest
+            used[i] = False
+            chosen.pop()
+            covered.difference_update(ext)
+            for f in ext:
+                del tile_dim[f]
+        return None
+
+    return rec()
+
+
+def search_outcome(search, K, budget):
+    try:
+        tiles = search(K, budget)
+    except SearchBudgetExceeded:
+        return "budget exceeded"
+    if isinstance(tiles, MorseTiling):
+        tiles = list(tiles.tiles)
+    return tiles
+
+
+def test_search_shelling_matches_recursive_oracle():
+    # random mixed-dimension complexes: 4-7 vertices, simplices of 1-4
+    # vertices; every outcome (tiles, None, budget) occurs at both budgets
+    kinds = set()
+    for seed in range(400):
+        rng = random.Random(seed)
+        nv = rng.randint(4, 7)
+        K = make_complex([rng.sample(range(nv), rng.randint(1, 4))
+                          for _ in range(rng.randint(3, 20))])
+        for budget in (50, 10_000):
+            got = search_outcome(search_shelling, K, budget)
+            assert got == search_outcome(recursive_search_shelling, K,
+                                         budget), (seed, budget)
+            kinds.add((budget, got if isinstance(got, str)
+                       else type(got).__name__))
+    assert len(kinds) == 6
 
 
 def test_tiling_json_round_trip():
