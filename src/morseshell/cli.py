@@ -32,7 +32,7 @@ from .morse import (
     validate_field,
     validate_morse_function,
 )
-from .tiles import standard_morse_tile, standard_tile, tile_chi
+from .tiles import standard_morse_tile, standard_tile
 from .tiling import (
     MorseTiling,
     SearchBudgetExceeded,
@@ -172,26 +172,35 @@ def _cmd_search_shelling(args) -> tuple[int, dict]:
     return 0, {"status": "found"} | _tiling_summary(t)
 
 
+def _check_subdivision_cap(sizes: list[int], iterations: int, what: str) -> None:
+    """Refuse subdivisions predicted to give more than 10^7 simplices; one
+    on s vertices splits into s! per round.  Any simplex with an edge
+    exceeds the cap within 24 rounds, so the exponent stops there and no
+    huge integer is formed."""
+    predicted = sum(math.factorial(s) ** min(iterations, 24) for s in sizes)
+    if predicted > 10 ** 7:
+        raise CliError(f"predicted {what} count after {iterations}"
+                       " subdivisions exceeds the 10^7 cap")
+
+
 def _cmd_subdivide(args) -> tuple[int, dict]:
-    if args.tiling:
-        t = _load_tiling(args.tiling)
-    elif args.complex:
-        K = _load_complex(args.complex)
-        sd = barycentric_subdivision(K)
-        _write_out(args.out, sd.complex.to_dict())
-        return 0, {"faces": len(sd.complex.faces),
-                   "f_vector": list(sd.complex.f_vector)}
-    else:
+    if not (args.tiling or args.complex):
         raise CliError("subdivide needs --tiling or --complex")
     if args.iterations < 0:
         raise CliError("--iterations must be non-negative")
+    if not args.tiling:
+        K = _load_complex(args.complex)
+        _check_subdivision_cap([len(m) for m in K.maximal_simplices],
+                               args.iterations, "maximal simplex")
+        for _ in range(args.iterations):
+            K = barycentric_subdivision(K).complex
+        _write_out(args.out, K.to_dict())
+        return 0, {"faces": len(K.faces), "f_vector": list(K.f_vector)}
+    t = _load_tiling(args.tiling)
     if bad := _tiling_errors(t):
         return 1, bad
-    predicted = sum(math.factorial(tile.dim + 1) ** args.iterations
-                    for tile in t.tiles)
-    if predicted > 10 ** 7:
-        raise CliError(f"predicted tile count {predicted} exceeds the"
-                       " 10^7 cap")
+    _check_subdivision_cap([tile.dim + 1 for tile in t.tiles],
+                           args.iterations, "tile")
     out_tiling = subdivide_tiling(t, args.iterations)
     _write_out(args.out, out_tiling.to_dict())
     return 0, _tiling_summary(out_tiling)
@@ -392,7 +401,7 @@ def _cmd_tile_info(args) -> tuple[int, dict]:
            "order": tile.order,
            "index": tile.index,
            "removed_dim": tile.removed_dim,
-           "chi": tile_chi(tile),
+           "chi": euler_characteristic(tile.extension),
            "open_faces": len(tile.extension),
            "tile": tile.to_dict()}
     return 0, out

@@ -149,34 +149,48 @@ def _vpath_successors(W: DiscreteVectorField, f: Simplex) -> list[Simplex]:
             if s != f and s in W.matching]
 
 
+def _vpath_walk(W: DiscreteVectorField) -> \
+        tuple[list[Simplex] | None, dict[Simplex, int]]:
+    """One depth-first walk of the V-path graph from every matched face in
+    sorted order.
+
+    Returns the first closed V-path met (first face repeated at the end),
+    or None and the depth of every matched face: one more than the largest
+    depth among its successors, taken in post-order.
+    """
+    depth: dict[Simplex, int] = {}  # finished faces
+    for start in sorted(W.matching):
+        if start in depth:
+            continue
+        succ = _vpath_successors(W, start)
+        stack = [(start, succ, iter(succ))]  # the faces on the path
+        on_path = {start: 0}  # face -> its position in stack
+        while stack:
+            node, succ, it = stack[-1]
+            for nxt in it:
+                if nxt in depth:
+                    continue
+                if nxt in on_path:
+                    return ([frame[0] for frame in stack[on_path[nxt]:]]
+                            + [nxt]), depth
+                nsucc = _vpath_successors(W, nxt)
+                if not nsucc:  # finished at once, so never pushed
+                    depth[nxt] = 1
+                    continue
+                on_path[nxt] = len(stack)
+                stack.append((nxt, nsucc, iter(nsucc)))
+                break
+            else:
+                depth[node] = 1 + max(map(depth.__getitem__, succ), default=0)
+                del on_path[node]
+                stack.pop()
+    return None, depth
+
+
 def find_closed_vpath(W: DiscreteVectorField) -> list[Simplex] | None:
     """A non-stationary closed V-path as a witness list (first face
     repeated at the end), or None when the field is acyclic."""
-    color: dict[Simplex, int] = {}
-    for start in sorted(W.matching):
-        if color.get(start):
-            continue
-        stack = [(start, iter(_vpath_successors(W, start)))]
-        color[start] = 1
-        path = [start]
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color.get(nxt) == 1:
-                    cycle = path[path.index(nxt):] + [nxt]
-                    return cycle
-                if not color.get(nxt):
-                    color[nxt] = 1
-                    path.append(nxt)
-                    stack.append((nxt, iter(_vpath_successors(W, nxt))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = 2
-                path.pop()
-                stack.pop()
-    return None
+    return _vpath_walk(W)[0]
 
 
 def is_vpath(W: DiscreteVectorField, seq: list[Simplex]) -> bool:
@@ -223,7 +237,7 @@ def morse_function(W: DiscreteVectorField) -> DiscreteMorseFunction:
     slightly above the lower cell's dimension, ordered along descending
     V-paths so that the two Morse conditions hold.
     """
-    cycle = find_closed_vpath(W)
+    cycle, depth = _vpath_walk(W)
     if cycle is not None:
         raise CyclicFieldError(cycle)
     by_dim: dict[int, list[Simplex]] = defaultdict(list)
@@ -232,47 +246,42 @@ def morse_function(W: DiscreteVectorField) -> DiscreteMorseFunction:
     images = W.images
     values: dict[Simplex, Fraction] = {}
     for p, faces in sorted(by_dim.items()):
-        depth: dict[Simplex, int] = {}
-
-        def depth_of(f: Simplex) -> int:
-            stack = [f]
-            while stack:
-                x = stack[-1]
-                if x in depth:
-                    stack.pop()
-                    continue
-                if x not in W.matching:
-                    depth[x] = 0
-                    stack.pop()
-                    continue
-                pending = [s for s in _vpath_successors(W, x) if s not in depth]
-                if pending:
-                    stack.extend(pending)
-                    continue
-                depth[x] = 1 + max((depth[s] for s in _vpath_successors(W, x)),
-                                   default=0)
-                stack.pop()
-            return depth[f]
-
-        max_depth = max((depth_of(f) for f in faces), default=0)
-        eps = Fraction(1, 2 * (max_depth + 2))
+        # a face of depth d takes p + (d + 1) / den, den = 2 (max depth + 2);
+        # level[k] holds p + k / den, so no face needs Fraction arithmetic
+        max_depth = max((depth.get(f, 0) for f in faces), default=0)
+        den = 2 * (max_depth + 2)
+        level = [Fraction(p)] + [Fraction(p * den + k, den)
+                                 for k in range(1, max_depth + 2)]
         for f in faces:
             if f in W.matching:
-                values[f] = p + (depth_of(f) + 1) * eps
+                values[f] = level[depth[f] + 1]
             elif f not in images:
-                values[f] = Fraction(p)
+                values[f] = level[0]
     for a, b in W.pairs:
         values[b] = values[a]
     return DiscreteMorseFunction(values, W.domain)
 
 
-def _coface_index(domain: frozenset[Simplex]) -> dict[Simplex, list[Simplex]]:
-    up: dict[Simplex, list[Simplex]] = defaultdict(list)
-    for f in domain:
-        for s in combinations(f, len(f) - 1):
-            if s in domain:
-                up[s].append(f)
-    return up
+def _drops_and_rises(f: DiscreteMorseFunction) -> \
+        tuple[dict[Simplex, list[Simplex]], dict[Simplex, int]]:
+    """Compare f across every (facet, coface) pair of its domain, once.
+
+    Returns, per face, its cofaces with no larger value (drops) and the
+    number of its facets with no smaller value (rises); one comparison
+    settles both.  Values are compared by integer cross-multiplication,
+    which is exact because denominators are positive.
+    """
+    ratio = {x: (f.values[x].numerator, f.values[x].denominator)
+             for x in f.domain}
+    drops: dict[Simplex, list[Simplex]] = defaultdict(list)
+    rises: dict[Simplex, int] = defaultdict(int)
+    for c, (cn, cd) in ratio.items():
+        for s in combinations(c, len(c) - 1):
+            r = ratio.get(s)
+            if r is not None and cn * r[1] <= r[0] * cd:
+                drops[s].append(c)
+                rises[c] += 1
+    return drops, rises
 
 
 @dataclass
@@ -287,24 +296,20 @@ def validate_morse_function(f: DiscreteMorseFunction,
     compare the extracted gradient against a given field."""
     errors = []
     exceptions = {}
-    up = _coface_index(f.domain)
-    down: dict[Simplex, list[Simplex]] = defaultdict(list)
-    for a, cofs in up.items():
-        for b in cofs:
-            down[b].append(a)
+    drops, rises = _drops_and_rises(f)
     gradient: dict[Simplex, Simplex] = {}
     unique_drops = True
     for face in sorted(f.domain, key=lambda x: (len(x), x)):
-        drops = [c for c in up.get(face, ()) if f.values[c] <= f.values[face]]
-        ups = len(drops)
-        downs = sum(1 for c in down.get(face, ()) if f.values[c] >= f.values[face])
+        falling = drops.get(face, ())
+        ups = len(falling)
+        downs = rises.get(face, 0)
         if ups or downs:
             exceptions[face] = (ups, downs)
         if ups > 1:
             errors.append(f"face {face}: {ups} cofaces with no larger value")
             unique_drops = False
-        elif drops:
-            gradient[face] = drops[0]
+        elif falling:
+            gradient[face] = falling[0]
         if downs > 1:
             errors.append(f"face {face}: {downs} facets with no smaller value")
     matches = None
@@ -318,15 +323,15 @@ def validate_morse_function(f: DiscreteMorseFunction,
 def gradient_of(f: DiscreteMorseFunction) -> DiscreteVectorField:
     """The gradient field: each face maps to its unique coface with no
     larger value, when one exists."""
-    up = _coface_index(f.domain)
+    drops, _ = _drops_and_rises(f)
     matching: dict[Simplex, Simplex] = {}
     for face in f.domain:
-        drops = [c for c in up.get(face, ()) if f.values[c] <= f.values[face]]
-        if len(drops) > 1:
-            raise ValueError(f"face {face} has {len(drops)} cofaces with no"
+        falling = drops.get(face, ())
+        if len(falling) > 1:
+            raise ValueError(f"face {face} has {len(falling)} cofaces with no"
                              " larger value; not a discrete Morse function")
-        if drops:
-            matching[face] = drops[0]
+        if falling:
+            matching[face] = falling[0]
     return DiscreteVectorField(matching, f.domain)
 
 

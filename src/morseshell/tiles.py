@@ -198,11 +198,6 @@ def critical_tile(n: int, k: int) -> MorseTile:
     return standard_morse_tile(n, k, k - 1)
 
 
-def tile_chi(t: MorseTile) -> int:
-    """Euler characteristic of the tile, by brute-force face count."""
-    return sum((-1) ** (len(f) - 1) for f in t.extension)
-
-
 # -- partitions ------------------------------------------------------------
 
 

@@ -86,7 +86,10 @@ class MorseTiling:
         carrier = K.faces if raw == "all" else \
             frozenset(simplex(f) for f in raw)
         tiles = tuple(MorseTile.from_dict(t) for t in data["tiles"])
-        return cls(K, carrier, tiles, bool(data.get("ordered", False)))
+        ordered = data.get("ordered", False)
+        if not isinstance(ordered, bool):
+            raise ValueError(f'"ordered" must be true or false, got {ordered!r}')
+        return cls(K, carrier, tiles, ordered)
 
 
 @dataclass
@@ -398,17 +401,50 @@ def subdivide_tile(tile: MorseTile,
     return MorseTiling(sd.complex, carrier, tiles, ordered=True)
 
 
+def _tile_template(size: int, witnesses: Simplex, removed: Simplex | None) -> \
+        tuple[tuple[Simplex, ...], list[MorseTile]]:
+    """The subdivided tiles of the tile on the standard simplex 0..size-1
+    with the given witness and removed-face positions, and the face of
+    positions that each vertex of the standard subdivision splits."""
+    std = tuple(range(size))
+    sd = barycentric_subdivision(make_complex([std]))
+    return sd.vertex_face, _subdivided_tiles(MorseTile(std, frozenset(witnesses),
+                                                       removed), sd)
+
+
 def subdivide_tiling(t: MorseTiling, iterations: int = 1) -> MorseTiling:
     """Subdivide tile by tile; the critical vector is preserved and shelling
-    orders carry over by concatenation."""
+    orders carry over by concatenation.
+
+    Tiles of one shape (closure size, witness and removed-face positions)
+    subdivide alike, so each shape is subdivided once on the standard
+    simplex and relabelled onto every tile of that shape: position i is the
+    i-th closure vertex, which keeps the vertex order and the tile order.
+    """
     if iterations < 0:
         raise ValueError("iterations must be non-negative")
     cur = t
     for _ in range(iterations):
         sd = barycentric_subdivision(cur.ambient)
+        fv = sd.face_vertex
+        templates: dict[tuple, tuple[tuple[Simplex, ...], list[MorseTile]]] = {}
         tiles: list[MorseTile] = []
         for tile in cur.tiles:
-            tiles.extend(_subdivided_tiles(tile, sd))
+            cl = tile.closure
+            pos = {v: i for i, v in enumerate(cl)}
+            key = (len(cl), tuple(sorted(pos[v] for v in tile.witnesses)),
+                   None if tile.removed_face is None
+                   else tuple(pos[v] for v in tile.removed_face))
+            if key not in templates:
+                templates[key] = _tile_template(*key)
+            subs, pieces = templates[key]
+            ids = [fv[tuple(cl[i] for i in sub)] for sub in subs]
+            for u in pieces:
+                tiles.append(MorseTile(
+                    tuple(ids[v] for v in u.closure),
+                    frozenset(ids[v] for v in u.witnesses),
+                    None if u.removed_face is None
+                    else tuple(ids[v] for v in u.removed_face)))
         carrier = sd.faces_over(cur.carrier)
         cur = MorseTiling(sd.complex, carrier, tuple(tiles), cur.ordered)
     return cur

@@ -355,3 +355,41 @@ def test_help_lists_only_the_commands_flags(capsys, command):
     assert code == 0
     listed = set(re.findall(r"--[a-z]+", out))
     assert listed == COMMAND_FLAGS[command] | {"--help", "--format"}
+
+
+@pytest.mark.parametrize("iterations,f_vector", [("0", [4, 6, 4]),
+                                                 ("2", [74, 216, 144])])
+def test_subdivide_complex_applies_iterations(tmp_path, iterations, f_vector):
+    cpath = write_complex(tmp_path, boundary_sphere(3))
+    opath = tmp_path / "out.json"
+    code, out, err = run_process("subdivide", "--complex", cpath,
+                                 "--iterations", iterations,
+                                 "--out", str(opath))
+    assert code == 0 and err == ""
+    assert json.loads(out)["f_vector"] == f_vector
+    assert sorted(len(m) for m in json.loads(opath.read_text())
+                  ["maximal_simplices"]) == [3] * f_vector[2]
+
+
+@pytest.mark.parametrize("iterations,message", [("-1", "non-negative"),
+                                                ("20", "cap")])
+def test_subdivide_complex_rejects_bad_iterations(tmp_path, iterations,
+                                                  message):
+    cpath = write_complex(tmp_path, boundary_sphere(3))
+    code, out, err = run_process("subdivide", "--complex", cpath,
+                                 "--iterations", iterations)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert message in json.loads(err)["error"]
+
+
+def test_verify_shelling_rejects_non_bool_ordered(tmp_path):
+    data = shell_surface(boundary_sphere(3)).to_dict() | {"ordered": "no"}
+    tpath = tmp_path / "shelling.json"
+    tpath.write_text(json.dumps(data))
+    code, out, err = run_process("verify-shelling", "--tiling", str(tpath))
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert "bad tiling file" in json.loads(err)["error"]

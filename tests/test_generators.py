@@ -231,12 +231,11 @@ def test_shell_larger_torus_full_pipeline():
 
 
 def test_tile_euler_additivity_on_generated_tilings():
-    from morseshell.tiles import tile_chi
     tilings = [shell_surface(K) for _, K in surface_corpus()]
     tilings += [handle_tiling(n, v) for n in (2, 3, 4)
                 for v in ("one-handle", "co-handle", "lateral")]
     for t in tilings:
-        assert sum(tile_chi(x) for x in t.tiles) == \
+        assert sum(euler_characteristic(x.extension) for x in t.tiles) == \
             euler_characteristic(t.carrier)
 
 

@@ -1,11 +1,16 @@
 """Discrete vector fields, V-paths, Morse functions, inequalities."""
 
+from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from morseshell.catalog import surface_corpus
 from morseshell.complexes import make_complex
+from morseshell.generators import HANDLE_VARIANTS, handle_tiling, shell_surface
 from morseshell.tiles import (
     MorseTile,
     boundary_partition,
@@ -26,6 +31,7 @@ from morseshell.morse import (
     DiscreteVectorField,
     compatible_field,
     find_closed_vpath,
+    _vpath_successors,
     gradient_of,
     is_vpath,
     morse_function,
@@ -282,3 +288,260 @@ def test_validators_share_one_report_type():
     rep = validate_morse_function(morse_function(W), W)
     for r in (validate_tiling(t), validate_field(W), rep):
         assert isinstance(r, Report) and bool(r) is r.valid is True
+
+
+# -- oracles: V-path search, depths and Fraction comparisons done directly ---
+
+
+def oracle_find_closed_vpath(W):
+    """The coloured depth-first search on its own, without depths."""
+    color = {}
+    for start in sorted(W.matching):
+        if color.get(start):
+            continue
+        stack = [(start, iter(_vpath_successors(W, start)))]
+        color[start] = 1
+        path = [start]
+        while stack:
+            node, it = stack[-1]
+            advanced = False
+            for nxt in it:
+                if color.get(nxt) == 1:
+                    return path[path.index(nxt):] + [nxt]
+                if not color.get(nxt):
+                    color[nxt] = 1
+                    path.append(nxt)
+                    stack.append((nxt, iter(_vpath_successors(W, nxt))))
+                    advanced = True
+                    break
+            if not advanced:
+                color[node] = 2
+                path.pop()
+                stack.pop()
+    return None
+
+
+def oracle_morse_function(W):
+    """Depths by a second search per dimension, values by Fraction
+    arithmetic."""
+    cycle = oracle_find_closed_vpath(W)
+    if cycle is not None:
+        raise CyclicFieldError(cycle)
+    by_dim = defaultdict(list)
+    for f in W.domain:
+        by_dim[len(f) - 1].append(f)
+    images = W.images
+    values = {}
+    for p, faces in sorted(by_dim.items()):
+        depth = {}
+
+        def depth_of(f):
+            stack = [f]
+            while stack:
+                x = stack[-1]
+                if x in depth:
+                    stack.pop()
+                    continue
+                if x not in W.matching:
+                    depth[x] = 0
+                    stack.pop()
+                    continue
+                pending = [s for s in _vpath_successors(W, x) if s not in depth]
+                if pending:
+                    stack.extend(pending)
+                    continue
+                depth[x] = 1 + max((depth[s] for s in _vpath_successors(W, x)),
+                                   default=0)
+                stack.pop()
+            return depth[f]
+
+        max_depth = max((depth_of(f) for f in faces), default=0)
+        eps = Fraction(1, 2 * (max_depth + 2))
+        for f in faces:
+            if f in W.matching:
+                values[f] = p + (depth_of(f) + 1) * eps
+            elif f not in images:
+                values[f] = Fraction(p)
+    for a, b in W.pairs:
+        values[b] = values[a]
+    return DiscreteMorseFunction(values, W.domain)
+
+
+def oracle_coface_index(domain):
+    up = defaultdict(list)
+    for f in domain:
+        for s in combinations(f, len(f) - 1):
+            if s in domain:
+                up[s].append(f)
+    return up
+
+
+def oracle_validate_morse_function(f, W=None):
+    """Separate coface and facet scans, comparing Fractions."""
+    errors = []
+    exceptions = {}
+    up = oracle_coface_index(f.domain)
+    down = defaultdict(list)
+    for a, cofs in up.items():
+        for b in cofs:
+            down[b].append(a)
+    gradient = {}
+    unique_drops = True
+    for face in sorted(f.domain, key=lambda x: (len(x), x)):
+        drops = [c for c in up.get(face, ()) if f.values[c] <= f.values[face]]
+        ups = len(drops)
+        downs = sum(1 for c in down.get(face, ())
+                    if f.values[c] >= f.values[face])
+        if ups or downs:
+            exceptions[face] = (ups, downs)
+        if ups > 1:
+            errors.append(f"face {face}: {ups} cofaces with no larger value")
+            unique_drops = False
+        elif drops:
+            gradient[face] = drops[0]
+        if downs > 1:
+            errors.append(f"face {face}: {downs} facets with no smaller value")
+    matches = None
+    if W is not None:
+        matches = unique_drops and gradient == dict(W.matching)
+        if not matches:
+            errors.append("extracted gradient differs from the given field")
+    return errors, exceptions, matches
+
+
+def oracle_gradient_of(f):
+    up = oracle_coface_index(f.domain)
+    matching = {}
+    for face in f.domain:
+        drops = [c for c in up.get(face, ()) if f.values[c] <= f.values[face]]
+        if len(drops) > 1:
+            raise ValueError(f"face {face} has {len(drops)} cofaces with no"
+                             " larger value; not a discrete Morse function")
+        if drops:
+            matching[face] = drops[0]
+    return matching
+
+
+def assert_morse_layer_matches_oracle(W):
+    old = oracle_morse_function(W)
+    new = morse_function(W)
+    assert new.to_list() == old.to_list()
+    assert new.values == old.values
+    for given_field in (W, None):
+        rep = validate_morse_function(new, given_field)
+        assert (rep.errors, rep.exceptions, rep.gradient_matches) == \
+            oracle_validate_morse_function(new, given_field)
+    assert gradient_of(new).matching == oracle_gradient_of(new)
+    return new
+
+
+@pytest.mark.parametrize("name,K", surface_corpus(),
+                         ids=[name for name, _ in surface_corpus()])
+def test_morse_layer_matches_oracle_on_catalog_surfaces(name, K):
+    t = shell_surface(K)
+    for d in (1, 2, 3):
+        W = compatible_field(subdivide_tiling(t, d))
+        assert find_closed_vpath(W) is None
+        f = assert_morse_layer_matches_oracle(W)
+        assert validate_morse_function(f, W).gradient_matches
+
+
+def test_morse_layer_matches_oracle_on_handles_and_shapes():
+    cases = [handle_tiling(n, v) for n in range(2, 6) for v in HANDLE_VARIANTS]
+    for n in (2, 3):
+        for tile in all_tiles(n):
+            K = make_complex([tile.closure])
+            cases.append(MorseTiling(K, tile.extension, (tile,), True))
+    for t in cases:
+        for d in (0, 1) if t.dim <= 3 else (0,):
+            assert_morse_layer_matches_oracle(
+                compatible_field(subdivide_tiling(t, d)))
+
+
+@st.composite
+def perturbed_morse_functions(draw):
+    """The Morse function of a small tiled complex with a few values moved
+    to other small fractions, so both Morse conditions can fail."""
+    n = draw(st.integers(1, 3))
+    tiles = all_tiles(n)
+    tile = tiles[draw(st.integers(0, len(tiles) - 1))]
+    t = subdivide_tiling(MorseTiling(make_complex([tile.closure]),
+                                     tile.extension, (tile,), True),
+                         draw(st.integers(0, 1)))
+    W = compatible_field(t)
+    values = dict(morse_function(W).values)
+    faces = sorted(values)
+    moves = draw(st.lists(st.tuples(st.integers(0, len(faces) - 1),
+                                    st.integers(-2 * n - 2, 2 * n + 2),
+                                    st.integers(1, 4)), max_size=6))
+    for i, num, den in moves:
+        values[faces[i]] = Fraction(num, den)
+    return DiscreteMorseFunction(values, frozenset(values)), W
+
+
+@settings(max_examples=150, deadline=None)
+@given(perturbed_morse_functions())
+def test_validation_matches_oracle_on_perturbed_functions(case):
+    f, W = case
+    for given_field in (W, None):
+        rep = validate_morse_function(f, given_field)
+        assert (rep.errors, rep.exceptions, rep.gradient_matches) == \
+            oracle_validate_morse_function(f, given_field)
+        assert rep.valid is not rep.errors
+    try:
+        expect = oracle_gradient_of(f)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            gradient_of(f)
+        assert str(got.value) == str(exc)
+    else:
+        assert gradient_of(f).matching == expect
+
+
+@st.composite
+def random_fields(draw):
+    """Random matchings (possibly cyclic) of faces to cofaces of a small
+    complex: each face in turn is paired with a free coface or not."""
+    K = make_complex(draw(st.lists(
+        st.lists(st.integers(0, 5), min_size=2, max_size=4, unique=True),
+        min_size=1, max_size=6)))
+    used = set()
+    matching = {}
+    for face in sorted(K.faces, key=lambda x: (len(x), x)):
+        if face in used:
+            continue
+        cofaces = [c for c in sorted(K.faces)
+                   if len(c) == len(face) + 1 and set(face) < set(c)
+                   and c not in used]
+        pick = draw(st.integers(-1, len(cofaces) - 1))
+        if pick >= 0:
+            matching[face] = cofaces[pick]
+            used.update((face, cofaces[pick]))
+    return DiscreteVectorField(matching, K.faces)
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_fields())
+def test_walk_matches_oracle_on_random_fields(W):
+    assert validate_field(W).valid
+    cycle = oracle_find_closed_vpath(W)
+    assert find_closed_vpath(W) == cycle
+    if cycle is None:
+        assert_morse_layer_matches_oracle(W)
+    else:
+        with pytest.raises(CyclicFieldError) as exc:
+            morse_function(W)
+        assert exc.value.cycle == cycle
+        assert str(exc.value) == str(CyclicFieldError(cycle))
+
+
+def test_morse_function_reports_the_closed_vpath_of_a_cyclic_field():
+    # each vertex of the triangle boundary is matched to the next edge
+    W = DiscreteVectorField({(0,): (0, 1), (1,): (1, 2), (2,): (0, 2)},
+                            boundary_simplex(2).faces)
+    cycle = find_closed_vpath(W)
+    assert cycle == oracle_find_closed_vpath(W) == [(0,), (1,), (2,), (0,)]
+    with pytest.raises(CyclicFieldError) as exc:
+        morse_function(W)
+    assert exc.value.cycle == cycle
+    assert str(exc.value) == "closed V-path of length 3 through (0,)"

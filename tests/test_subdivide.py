@@ -1,11 +1,14 @@
 """Barycentric subdivision of tiles and tilings."""
 
 import math
+import random
 from itertools import combinations
 
 import pytest
 
-from morseshell.complexes import make_complex
+from morseshell.catalog import surface_corpus
+from morseshell.complexes import barycentric_subdivision, make_complex
+from morseshell.generators import HANDLE_VARIANTS, handle_tiling, shell_surface
 from morseshell.tiles import (
     MorseTile,
     boundary_partition,
@@ -17,9 +20,11 @@ from morseshell.tiling import (
     MorseTiling,
     critical_vector,
     h_table,
+    _subdivided_tiles,
     subdivide_tile,
     subdivide_tiling,
     validate_shelling,
+    validate_tiling,
 )
 
 
@@ -207,3 +212,89 @@ def test_subdivide_proper_carrier_trace():
         union |= x.extension
     assert union == s.carrier
     assert s.carrier < s.ambient.faces
+
+
+# -- per-shape templates against the per-tile construction -------------------
+
+
+def per_tile_subdivide_tiling(t, iterations=1):
+    """Oracle: subdivide every tile through the recursive cone construction
+    on its own labels, with no shared templates."""
+    cur = t
+    for _ in range(iterations):
+        sd = barycentric_subdivision(cur.ambient)
+        tiles = []
+        for tile in cur.tiles:
+            tiles.extend(_subdivided_tiles(tile, sd))
+        carrier = sd.faces_over(cur.carrier)
+        cur = MorseTiling(sd.complex, carrier, tuple(tiles), cur.ordered)
+    return cur
+
+
+def assert_same_subdivision(t, iterations):
+    new = subdivide_tiling(t, iterations)
+    old = per_tile_subdivide_tiling(t, iterations)
+    assert new.tiles == old.tiles
+    assert new.to_dict() == old.to_dict()
+
+
+@pytest.mark.parametrize("name,K", surface_corpus(),
+                         ids=[name for name, _ in surface_corpus()])
+def test_templates_match_per_tile_on_catalog_surfaces(name, K):
+    t = shell_surface(K)
+    for d in (1, 2, 3):
+        assert_same_subdivision(t, d)
+
+
+def test_templates_match_per_tile_on_handles():
+    for n in range(2, 6):
+        for variant in HANDLE_VARIANTS:
+            t = handle_tiling(n, variant)
+            assert t.carrier < t.ambient.faces
+            assert_same_subdivision(t, 1)
+            if n == 2:
+                assert_same_subdivision(t, 2)
+
+
+def test_templates_match_per_tile_on_relabelled_tiles():
+    # every tile shape up to dimension 3, on scattered vertex labels inside
+    # a larger complex, so positions and labels differ
+    rng = random.Random(6)
+    for n in range(1, 4):
+        for tile in all_tiles(n):
+            for _ in range(3):
+                labels = sorted(rng.sample(range(12), n + 1))
+                relabel = dict(enumerate(labels))
+                moved = MorseTile(
+                    tuple(labels), frozenset(relabel[v] for v in tile.witnesses),
+                    None if tile.removed_face is None
+                    else tuple(relabel[v] for v in tile.removed_face))
+                K = make_complex([labels, [labels[0], 12], [12, 13, 14]])
+                t = MorseTiling(K, moved.extension, (moved,), True)
+                assert validate_tiling(t).valid
+                assert_same_subdivision(t, 1)
+                if n <= 2:
+                    assert_same_subdivision(t, 2)
+
+
+def test_templates_match_per_tile_on_mixed_shapes():
+    # every shape of dimension 2 and 3 twice, each on its own simplex, so
+    # regular and critical tiles with a removed face share one tiling and
+    # each template serves two tiles
+    shapes = [x for n in (2, 3) for x in all_tiles(n)] * 2
+    tiles, start = [], 0
+    for x in shapes:
+        tiles.append(MorseTile(
+            tuple(v + start for v in x.closure),
+            frozenset(v + start for v in x.witnesses),
+            None if x.removed_face is None
+            else tuple(v + start for v in x.removed_face)))
+        start += len(x.closure)
+    K = make_complex([x.closure for x in tiles])
+    t = MorseTiling(K, frozenset().union(*(x.extension for x in tiles)),
+                    tuple(tiles), True)
+    assert validate_tiling(t).valid
+    assert any(x.removed_face is not None and x.is_critical for x in tiles)
+    assert any(x.removed_face is not None and not x.is_critical for x in tiles)
+    for d in (1, 2):
+        assert_same_subdivision(t, d)

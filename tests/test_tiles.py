@@ -5,6 +5,7 @@ from itertools import permutations
 
 import pytest
 
+from morseshell.complexes import euler_characteristic
 from morseshell.tiles import (
     EMPTY_TILE,
     MorseTile,
@@ -17,7 +18,6 @@ from morseshell.tiles import (
     skeleton_partition,
     standard_morse_tile,
     standard_tile,
-    tile_chi,
 )
 
 
@@ -122,16 +122,17 @@ def test_invalid_removed_face_rejected():
 def test_chi_closed_forms():
     for n in range(0, 9):
         for k in range(n + 1):
-            assert tile_chi(critical_tile(n, k)) == (-1) ** k
+            assert euler_characteristic(
+                critical_tile(n, k).extension) == (-1) ** k
         for k in range(1, n + 1):
-            assert tile_chi(standard_tile(n, k)) == 0
+            assert euler_characteristic(standard_tile(n, k).extension) == 0
         for k in range(n + 1):
             for l in range(max(k - 1, 0), n - 1):
                 t = standard_morse_tile(n, k, l)
                 expect = (-1) ** k if t.is_critical else 0
-                assert tile_chi(t) == expect
-    assert tile_chi(standard_tile(0, 0)) == 1
-    assert tile_chi(standard_tile(3, 0)) == 1
+                assert euler_characteristic(t.extension) == expect
+    assert euler_characteristic(standard_tile(0, 0).extension) == 1
+    assert euler_characteristic(standard_tile(3, 0).extension) == 1
 
 
 def test_boundary_partition_basics():

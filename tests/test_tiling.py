@@ -151,8 +151,7 @@ def test_h_table_example_counts():
 def test_tile_chi_additivity():
     for n in range(1, 5):
         t = sphere_partition(n)
-        from morseshell.tiles import tile_chi
-        assert sum(tile_chi(x) for x in t.tiles) == \
+        assert sum(euler_characteristic(x.extension) for x in t.tiles) == \
             euler_characteristic(t.carrier)
 
 
@@ -456,3 +455,13 @@ def test_tiling_json_round_trip():
                       (MorseTile((0, 1, 2), frozenset((0, 1, 2))),), False)
     back = MorseTiling.from_dict(sub.to_dict())
     assert back.carrier == sub.carrier
+
+
+def test_tiling_from_dict_requires_a_bool_ordered_flag():
+    data = sphere_partition(2).to_dict()
+    for bad in ("no", "false", 1, 0, None, [True]):
+        with pytest.raises(ValueError, match="ordered"):
+            MorseTiling.from_dict(data | {"ordered": bad})
+    assert MorseTiling.from_dict(data | {"ordered": False}).ordered is False
+    del data["ordered"]
+    assert MorseTiling.from_dict(data).ordered is False
