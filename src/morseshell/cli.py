@@ -172,15 +172,11 @@ def _cmd_search_shelling(args) -> tuple[int, dict]:
     return 0, {"status": "found"} | _tiling_summary(t)
 
 
-def _check_subdivision_cap(sizes: list[int], iterations: int, what: str) -> None:
-    """Refuse subdivisions predicted to give more than 10^7 simplices; one
-    on s vertices splits into s! per round.  Any simplex with an edge
-    exceeds the cap within 24 rounds, so the exponent stops there and no
-    huge integer is formed."""
-    predicted = sum(math.factorial(s) ** min(iterations, 24) for s in sizes)
+def _check_cap(predicted: int, noun: str) -> None:
+    """Refuse, before building anything, an output predicted to hold more
+    than 10^7 items."""
     if predicted > 10 ** 7:
-        raise CliError(f"predicted {what} count after {iterations}"
-                       " subdivisions exceeds the 10^7 cap")
+        raise CliError(f"predicted {noun} exceeds the 10^7 cap")
 
 
 def _cmd_subdivide(args) -> tuple[int, dict]:
@@ -188,25 +184,34 @@ def _cmd_subdivide(args) -> tuple[int, dict]:
         raise CliError("subdivide needs --tiling or --complex")
     if args.iterations < 0:
         raise CliError("--iterations must be non-negative")
-    if not args.tiling:
+    if args.iterations > 24:
+        # any simplex with an edge passes the cap within 24 rounds, and
+        # points never multiply, so more rounds only rename them
+        raise CliError("--iterations above 24 exceeds the 10^7 cap")
+    if args.tiling:
+        t = _load_tiling(args.tiling)
+        if bad := _tiling_errors(t):
+            return 1, bad
+        sizes, noun = [tile.dim + 1 for tile in t.tiles], "tile"
+    else:
         K = _load_complex(args.complex)
-        _check_subdivision_cap([len(m) for m in K.maximal_simplices],
-                               args.iterations, "maximal simplex")
-        for _ in range(args.iterations):
-            K = barycentric_subdivision(K).complex
-        _write_out(args.out, K.to_dict())
-        return 0, {"faces": len(K.faces), "f_vector": list(K.f_vector)}
-    t = _load_tiling(args.tiling)
-    if bad := _tiling_errors(t):
-        return 1, bad
-    _check_subdivision_cap([tile.dim + 1 for tile in t.tiles],
-                           args.iterations, "tile")
-    out_tiling = subdivide_tiling(t, args.iterations)
-    _write_out(args.out, out_tiling.to_dict())
-    return 0, _tiling_summary(out_tiling)
+        sizes, noun = [len(m) for m in K.maximal_simplices], "maximal simplex"
+    # a simplex on s vertices splits into s! per round
+    _check_cap(sum(math.factorial(s) ** args.iterations for s in sizes),
+               f"{noun} count after {args.iterations} subdivisions")
+    if args.tiling:
+        out_tiling = subdivide_tiling(t, args.iterations)
+        _write_out(args.out, out_tiling.to_dict())
+        return 0, _tiling_summary(out_tiling)
+    for _ in range(args.iterations):
+        K = barycentric_subdivision(K).complex
+    _write_out(args.out, K.to_dict())
+    return 0, {"faces": len(K.faces), "f_vector": list(K.f_vector)}
 
 
 def _cmd_skeleton(args) -> tuple[int, dict]:
+    if args.n < 0:
+        raise CliError("--n must be non-negative")
     if args.tiling:
         t = _load_tiling(args.tiling)
         if bad := _tiling_errors(t):
@@ -268,11 +273,12 @@ def _cmd_morse_function(args) -> tuple[int, dict]:
                    "closed_vpath": [list(x) for x in exc.cycle]}
     rep = validate_morse_function(f, W)
     _write_out(args.out, f.to_list())
-    crit = f.critical_values()
+    # a mismatch between f's gradient and W shows in valid/gradient_matches
     return (0 if rep.valid else 1), {
         "valid": rep.valid,
         "gradient_matches": rep.gradient_matches,
-        "critical_values": [[list(c), str(v)] for c, v in sorted(crit.items())]}
+        "critical_values": [[list(c), str(f[c])]
+                            for c in sorted(W.critical_cells())]}
 
 
 def _cmd_betti(args) -> tuple[int, dict]:
@@ -348,6 +354,9 @@ def _cmd_pack(args) -> tuple[int, dict]:
 
 
 def _cmd_handle(args) -> tuple[int, dict]:
+    # n simplices of 2^(n+1) faces each; past 2^64 the cap is passed anyway
+    _check_cap(args.n * 2 ** min(args.n + 1, 64),
+               f"face count of the {args.n}-dimensional prism")
     try:
         t = handle_tiling(args.n, args.variant)
     except ValueError as exc:
@@ -388,6 +397,7 @@ def _cmd_word_reduce(args) -> tuple[int, dict]:
 
 
 def _cmd_tile_info(args) -> tuple[int, dict]:
+    _check_cap(2 ** min(args.n + 1, 64), f"face count of a {args.n}-simplex")
     try:
         if args.l is None:
             tile = standard_tile(args.n, args.k)

@@ -14,6 +14,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, permutations
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 Simplex = tuple[int, ...]
@@ -90,6 +91,18 @@ class SimplicialComplex:
     @cached_property
     def vertices(self) -> tuple[int, ...]:
         return tuple(sorted({v for m in self.maximal_simplices for v in m}))
+
+    @cached_property
+    def cofacets(self) -> Mapping[Simplex, tuple[Simplex, ...]]:
+        """Each face mapped to the faces one dimension up that contain it,
+        in increasing order; a top face maps to ().  Faces are keyed in
+        increasing order."""
+        up: dict[Simplex, list[Simplex]] = {f: [] for f in sorted(self.faces)}
+        for f in up:
+            if len(f) > 1:
+                for facet in facets_of(f):
+                    up[facet].append(f)
+        return MappingProxyType({f: tuple(c) for f, c in up.items()})
 
     def faces_of_dim(self, d: int) -> list[Simplex]:
         return sorted(f for f in self.faces if len(f) - 1 == d)
@@ -187,25 +200,21 @@ def is_closed_surface(K: SimplicialComplex) -> bool:
     triangles and every vertex link is a single cycle."""
     if K.dim != 2 or any(len(m) != 3 for m in K.maximal_simplices):
         return False
-    # all maximal simplices are triangles: build every vertex link in one
-    # pass; x's degree in the link of v counts the triangles on edge vx
-    links: dict[int, dict[int, set[int]]] = defaultdict(lambda: defaultdict(set))
-    for a, b, c in K.maximal_simplices:
-        for v, x, y in ((a, b, c), (b, a, c), (c, a, b)):
-            links[v][x].add(y)
-            links[v][y].add(x)
-    for nbrs in links.values():
-        if any(len(s) != 2 for s in nbrs.values()):
-            return False
-        seen = set()
-        stack = [next(iter(nbrs))]
-        while stack:
-            x = stack.pop()
-            if x in seen:
-                continue
-            seen.add(x)
-            stack.extend(nbrs[x])
-        if seen != set(nbrs):
+    up = K.cofacets
+    if any(len(f) == 2 and len(c) != 2 for f, c in up.items()):
+        return False
+    # each link is a union of cycles: walk the one through v's first edge,
+    # crossing each triangle at v to its other edge at v
+    for f, edges in up.items():
+        if len(f) != 1:
+            continue
+        e, t, steps = edges[0], up[edges[0]][0], 1
+        # t's other edge at v ends at t's third vertex
+        while (e := tuple(sorted((f[0], sum(t) - sum(e))))) != edges[0]:
+            a, b = up[e]
+            t = b if a == t else a
+            steps += 1
+        if steps != len(edges):
             return False
     return True
 

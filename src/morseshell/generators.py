@@ -4,7 +4,7 @@ them."""
 
 from __future__ import annotations
 
-from collections import defaultdict
+import heapq
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
@@ -12,6 +12,7 @@ from typing import Iterable
 from .complexes import (
     SimplicialComplex,
     Simplex,
+    connected_components,
     is_closed_surface,
     make_complex,
     simplex,
@@ -31,62 +32,40 @@ def shell_surface(K: SimplicialComplex,
     """
     if not is_closed_surface(K):
         raise ValueError("input is not a closed triangulated surface")
-    triangles = K.faces_of_dim(2)
-    tri_of_edge: dict[Simplex, list[Simplex]] = defaultdict(list)
-    for t in triangles:
-        for e in combinations(t, 2):
-            tri_of_edge[e].append(t)
-
-    parent = {t: t for t in triangles}
-
-    def find(x: Simplex) -> Simplex:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e, (a, b) in tri_of_edge.items():
-        parent[find(a)] = find(b)
-    components: dict[Simplex, list[Simplex]] = defaultdict(list)
-    for t in triangles:
-        components[find(t)].append(t)
-    comps = sorted((sorted(ts) for ts in components.values()),
-                   key=lambda ts: ts[0])
-
+    up = K.cofacets
     chosen_start = None if start is None else simplex(start)
-    if chosen_start is not None and chosen_start not in set(triangles):
+    if chosen_start is not None and up.get(chosen_start) != ():  # not a top face
         raise ValueError(f"start {chosen_start} is not a triangle of the complex")
 
     tiles: list[MorseTile] = []
     covered: set[Simplex] = set()
-    for comp in comps:
-        comp_set = set(comp)
-        first = chosen_start if chosen_start in comp_set else comp[0]
-        tile, ext = attach(first, covered)
-        tiles.append(tile)
-        covered |= ext
-        done = {first}
-        edge_count: dict[Simplex, int] = defaultdict(int)
-        for e in combinations(first, 2):
-            edge_count[e] += 1
-        while True:
-            frontier = sorted(e for e, c in edge_count.items() if c == 1)
-            if not frontier:
-                break
-            e = frontier[0]
-            nxt = [t for t in tri_of_edge[e] if t not in done]
-            if len(nxt) != 1:
-                raise RuntimeError(
-                    f"frontier edge {e} has {len(nxt)} unshelled triangles;"
-                    " the closed-surface invariant failed")
-            t = nxt[0]
+    # on a closed surface every link is connected, so the vertex components
+    # are the triangle components, ordered by least triangle
+    for comp in connected_components(K):
+        t = chosen_start if chosen_start in comp.maximal_simplices \
+            else comp.maximal_simplices[0]
+        done: set[Simplex] = set()
+        # a heap of the edges of done triangles; an edge goes stale once
+        # both of its triangles are done, and is skipped when popped
+        frontier: list[Simplex] = []
+        while t is not None:
             tile, ext = attach(t, covered)
             tiles.append(tile)
             covered |= ext
             done.add(t)
-            for e2 in combinations(t, 2):
-                edge_count[e2] += 1
-        if len(done) != len(comp):
+            for e in combinations(t, 2):
+                heapq.heappush(frontier, e)
+            t = None
+            while frontier and t is None:
+                e = heapq.heappop(frontier)
+                nxt = [x for x in up[e] if x not in done]
+                if len(nxt) > 1:
+                    raise RuntimeError(
+                        f"frontier edge {e} has {len(nxt)} unshelled triangles;"
+                        " the closed-surface invariant failed")
+                if nxt:
+                    t = nxt[0]
+        if len(done) != len(comp.maximal_simplices):
             raise RuntimeError("ran out of frontier edges before covering a"
                                " component")
     return MorseTiling.over_complex(K, tiles, ordered=True)

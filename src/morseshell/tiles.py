@@ -142,6 +142,8 @@ class MorseTile:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "MorseTile":
+        if not isinstance(data, Mapping):
+            raise TypeError(f"a tile must be an object, got {data!r}")
         tau = data.get("removed_face")
         return cls(tuple(data["closure"]),
                    frozenset(data.get("removed_witnesses", ())),

@@ -272,9 +272,9 @@ def word_of_annulus(K: SimplicialComplex, boundary_d: Iterable[int],
         raise ValueError("boundary vertex sets overlap")
     if bd | bu != set(K.vertices):
         raise ValueError("not simple: interior vertices present")
-    triangles = K.faces_of_dim(2)
-    if set(K.maximal_simplices) != set(triangles):
+    if any(len(m) != 3 for m in K.maximal_simplices):
         raise ValueError("not a pure two-dimensional complex")
+    triangles = K.maximal_simplices
 
     letters: dict[Simplex, str] = {}
     base_edge: dict[Simplex, Simplex] = {}
@@ -290,47 +290,39 @@ def word_of_annulus(K: SimplicialComplex, boundary_d: Iterable[int],
         else:
             raise ValueError(f"not simple: triangle {t} has no single base"
                              " edge on one boundary")
-    tri_of_edge: dict[Simplex, list[Simplex]] = defaultdict(list)
+    up = K.cofacets
     for t in triangles:
-        for e in combinations(t, 2):
-            tri_of_edge[e].append(t)
-    for t in triangles:
-        if len(tri_of_edge[base_edge[t]]) != 1:
+        if len(up[base_edge[t]]) != 1:
             raise ValueError(f"base edge {base_edge[t]} is not on the boundary")
         for e in combinations(t, 2):
-            if e != base_edge[t] and len(tri_of_edge[e]) != 2:
+            if e != base_edge[t] and len(up[e]) != 2:
                 raise ValueError(f"interior edge {e} is not shared by two"
                                  " triangles")
-    for side in (bd, bu):
-        cycle_nbrs: dict[int, set[int]] = defaultdict(set)
-        for e in tri_of_edge:
-            if set(e) <= side and len(tri_of_edge[e]) == 1:
-                cycle_nbrs[e[0]].add(e[1])
-                cycle_nbrs[e[1]].add(e[0])
-        if set(cycle_nbrs) != set(side) or \
-                any(len(s) != 2 for s in cycle_nbrs.values()):
-            raise ValueError("a boundary vertex set is not a single cycle")
-        if side == bd:
-            d_nbrs = cycle_nbrs
+    # the checks above leave only base edges in a single triangle
+    cycle_nbrs: dict[int, set[int]] = defaultdict(set)
+    for e, ts in up.items():
+        if len(e) == 2 and len(ts) == 1:
+            cycle_nbrs[e[0]].add(e[1])
+            cycle_nbrs[e[1]].add(e[0])
+    if set(cycle_nbrs) != bd | bu or \
+            any(len(s) != 2 for s in cycle_nbrs.values()):
+        raise ValueError("a boundary vertex set is not a single cycle")
 
     v0 = min(bd)
-    nxt = min(d_nbrs[v0])
+    nxt = min(cycle_nbrs[v0])
     t0 = next(t for t, e in base_edge.items() if set(e) == {v0, nxt})
     out = []
     visited = set()
     current = t0
-    entry: Simplex | None = None
+    # entering t0 across its edge off nxt makes the first exit its edge on nxt
+    entry = next(e for e in combinations(t0, 2) if nxt not in e)
     for _ in range(len(triangles)):
         out.append(letters[current])
         visited.add(current)
-        interior = [e for e in combinations(current, 2)
-                    if e != base_edge[current]]
-        if entry is None:
-            exit_edge = next(e for e in interior if nxt in e)
-        else:
-            exit_edge = next(e for e in interior if e != entry)
-        current = next(t for t in tri_of_edge[exit_edge] if t != current)
-        entry = exit_edge
+        exit_edge = next(e for e in combinations(current, 2)
+                         if e != base_edge[current] and e != entry)
+        a, b = up[exit_edge]  # an interior edge: two triangles
+        current, entry = (b if a == current else a), exit_edge
     if current != t0 or len(visited) != len(triangles):
         raise ValueError("the triangles do not form a single annulus cycle")
     return CyclicWord("".join(out))

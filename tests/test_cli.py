@@ -9,13 +9,16 @@ from pathlib import Path
 
 import pytest
 
+from morseshell import cli
 from morseshell.catalog import (
     boundary_sphere,
     moebius_kantor_torus,
     untileable_wheel,
 )
 from morseshell.cli import main
-from morseshell.generators import shell_surface
+from morseshell.complexes import make_complex
+from morseshell.generators import handle_tiling, shell_surface
+from morseshell.tiles import standard_tile
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -256,10 +259,13 @@ def _bad_usage_argvs(tmp_path):
         "iterations": ["subdivide", "--tiling", str(spath),
                        "--iterations", "-1"],
         "out": ["subdivide", "--complex", cpath, "--out", missing],
+        "skeleton-complex": ["skeleton", "--n", "-1", "--complex", cpath],
+        "skeleton-tiling": ["skeleton", "--n", "-1", "--tiling", str(spath)],
     }
 
 
-@pytest.mark.parametrize("case", ["start", "iterations", "out"])
+@pytest.mark.parametrize("case", ["start", "iterations", "out",
+                                  "skeleton-complex", "skeleton-tiling"])
 def test_usage_errors_exit_2_without_traceback(tmp_path, case):
     code, out, err = run_process(*_bad_usage_argvs(tmp_path)[case])
     assert code == 2
@@ -382,6 +388,72 @@ def test_subdivide_complex_rejects_bad_iterations(tmp_path, iterations,
     assert out == ""
     assert "Traceback" not in err
     assert message in json.loads(err)["error"]
+
+
+def test_subdivide_rejects_more_than_24_iterations_on_points(tmp_path):
+    # points never multiply, so only the round count can be refused
+    cpath = write_complex(tmp_path, make_complex([[0], [1]]))
+    code, out, err = run_process("subdivide", "--complex", cpath,
+                                 "--iterations", "25")
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert "cap" in json.loads(err)["error"]
+
+
+def _refuse_to_build(*args):
+    raise AssertionError("the cap check must come before any enumeration")
+
+
+@pytest.mark.parametrize("argv", [["tile-info", "--n", "23", "--k", "0"],
+                                  ["tile-info", "--n", "10000000000000",
+                                   "--k", "0"],
+                                  ["handle", "--n", "19"],
+                                  ["handle", "--n", "10000000000000"]])
+def test_face_count_cap_refuses_before_enumerating(monkeypatch, capsys, argv):
+    for name in ("standard_tile", "standard_morse_tile", "handle_tiling"):
+        monkeypatch.setattr(cli, name, _refuse_to_build)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "cap" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("argv,builder", [
+    (["tile-info", "--n", "22", "--k", "0"], "standard_tile"),
+    (["handle", "--n", "18"], "handle_tiling")])
+def test_face_count_cap_admits_the_largest_n_below_it(monkeypatch, capsys,
+                                                      argv, builder):
+    # 2^23 and 18 * 2^19 faces lie below 10^7; a small stand-in is built
+    small = {"standard_tile": lambda n, k: standard_tile(2, 0),
+             "handle_tiling": lambda n, variant: handle_tiling(2, variant)}
+    monkeypatch.setattr(cli, builder, small[builder])
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+
+
+def _tiling_commands(tmp_path, tpath):
+    fpath = tmp_path / "field.json"
+    fpath.write_text("[]")
+    cpath = write_complex(tmp_path, boundary_sphere(3))
+    return [["verify-tiling"], ["verify-shelling"], ["subdivide"],
+            ["skeleton", "--n", "1"], ["field"], ["morse-function"],
+            ["hcounts"], ["pack"], ["inequalities", "--complex", cpath],
+            ["vpath-check", "--field", str(fpath)]]
+
+
+@pytest.mark.parametrize("tile", [None, 5])
+def test_non_object_tile_exits_2_without_traceback(tmp_path, tile):
+    data = shell_surface(boundary_sphere(3)).to_dict()
+    data["tiles"].append(tile)
+    tpath = tmp_path / "shelling.json"
+    tpath.write_text(json.dumps(data))
+    for argv in _tiling_commands(tmp_path, tpath):
+        code, out, err = run_process(*argv, "--tiling", str(tpath))
+        assert code == 2, argv
+        assert out == ""
+        assert "Traceback" not in err
+        assert "bad tiling file" in json.loads(err)["error"]
 
 
 def test_verify_shelling_rejects_non_bool_ordered(tmp_path):

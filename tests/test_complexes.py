@@ -5,7 +5,13 @@ from itertools import combinations
 
 import pytest
 
-from morseshell.catalog import genus_two_surface, klein_bottle, octahedron
+from morseshell.catalog import (
+    genus_two_surface,
+    klein_bottle,
+    octahedron,
+    surface_corpus,
+    untileable_wheel,
+)
 from morseshell.complexes import (
     _gf2_rank,
     barycentric_subdivision,
@@ -292,6 +298,29 @@ def test_betti_alternating_sum_is_euler():
         b = betti_numbers_mod2(K)
         assert sum((-1) ** i * x for i, x in enumerate(b)) == \
             euler_characteristic(K.faces)
+
+
+def brute_cofacets(K):
+    return {f: tuple(sorted(g for g in K.faces
+                            if len(g) == len(f) + 1 and set(f) < set(g)))
+            for f in K.faces}
+
+
+@pytest.mark.parametrize("K", [K for _, K in surface_corpus()]
+                         + [untileable_wheel(), full_simplex(3),
+                            make_complex([[0, 1, 2], [2, 3]]),
+                            make_complex([[4]])])
+def test_cofacets_match_their_definition(K):
+    assert K.cofacets == brute_cofacets(K)
+    assert list(K.cofacets) == sorted(K.faces)
+
+
+def test_cofacets_of_a_triangle_with_a_tail():
+    up = make_complex([[0, 1, 2], [2, 3]]).cofacets
+    assert up[(2,)] == ((0, 2), (1, 2), (2, 3))
+    assert up[(1, 2)] == ((0, 1, 2),)
+    assert up[(2, 3)] == up[(0, 1, 2)] == ()
+    assert make_complex([[4]]).cofacets == {(4,): ()}
 
 
 def test_connected_components():

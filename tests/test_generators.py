@@ -4,12 +4,15 @@ import json
 from hashlib import sha256
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morseshell.catalog import (
     bipyramid,
     boundary_sphere,
     moebius_kantor_torus,
     octahedron,
+    projective_plane,
     surface_corpus,
     untileable_wheel,
 )
@@ -310,7 +313,16 @@ BUILDER_DIGESTS = {
     "one-handle/5": "33fe7e98ad5e8ce5",
     "co-handle/5": "b7c0f2f9dc430fda",
     "lateral/5": "0e0c15672cc03f2b",
+    "shell_surface/two-components-start": "8e645235c31af8e3",
 }
+
+
+def two_component_surface():
+    """The seven-vertex torus on even ids and the projective plane on odd
+    ids, so the components interleave."""
+    torus = [[2 * v for v in m] for m in moebius_kantor_torus().maximal_simplices]
+    rp2 = [[2 * v + 1 for v in m] for m in projective_plane().maximal_simplices]
+    return make_complex(torus + rp2, name="torus-7+projective-plane")
 
 
 def builder_outputs():
@@ -330,6 +342,9 @@ def builder_outputs():
             pr.complex, pr.simplex_order).to_dict()
         for variant in HANDLE_VARIANTS:
             out[f"{variant}/{n}"] = handle_tiling(n, variant).to_dict()
+    # start in the second component: its last triangle
+    out["shell_surface/two-components-start"] = shell_surface(
+        two_component_surface(), start=(5, 9, 11)).to_dict()
     return out
 
 
@@ -337,3 +352,32 @@ def test_builders_keep_their_outputs():
     for key, data in builder_outputs().items():
         blob = json.dumps(data, sort_keys=True).encode()
         assert sha256(blob).hexdigest()[:16] == BUILDER_DIGESTS[key], key
+
+
+@st.composite
+def relabeled_surfaces(draw):
+    """One or two catalog surfaces on shuffled, interleaved vertex ids, and
+    a start triangle or None."""
+    corpus = surface_corpus()
+    parts = draw(st.lists(st.sampled_from(range(len(corpus))),
+                          min_size=1, max_size=2))
+    maximal, offset = [], 0
+    for i in parts:
+        K = corpus[i][1]
+        maximal += [[v + offset for v in m] for m in K.maximal_simplices]
+        offset += max(K.vertices) + 1
+    perm = draw(st.permutations(range(offset)))
+    K = make_complex([[perm[v] for v in m] for m in maximal])
+    start = draw(st.none() | st.sampled_from(K.maximal_simplices))
+    return K, len(parts), start
+
+
+@settings(max_examples=60, deadline=None)
+@given(relabeled_surfaces())
+def test_shell_surface_on_relabeled_surfaces(case):
+    K, components, start = case
+    t = shell_surface(K, start=start)
+    assert validate_shelling(t).valid
+    assert critical_vector(t).counts[0] == components
+    first = start if start is not None else K.maximal_simplices[0]
+    assert first in [tile.closure for tile in t.tiles if tile.order == 0]
