@@ -75,6 +75,18 @@ class SimplicialComplex:
         self.maximal_simplices: tuple[Simplex, ...] = tuple(sorted(keep))
         self.name = name
 
+    @classmethod
+    def _trusted(cls, maximal: Iterable[Simplex], name: str = "") -> "SimplicialComplex":
+        """Trusted constructor, without the checks of ``__init__``: the
+        simplices must be canonical, distinct, and none may contain another,
+        as in data the library derives from an already valid complex."""
+        K = cls.__new__(cls)
+        K.maximal_simplices = tuple(sorted(maximal))
+        if not K.maximal_simplices:
+            raise ValueError("empty complex")
+        K.name = name
+        return K
+
     @cached_property
     def faces(self) -> frozenset[Simplex]:
         out: set[Simplex] = set()
@@ -104,8 +116,16 @@ class SimplicialComplex:
                     up[facet].append(f)
         return MappingProxyType({f: tuple(c) for f, c in up.items()})
 
+    @cached_property
+    def faces_by_dim(self) -> tuple[tuple[Simplex, ...], ...]:
+        """The faces of each dimension 0..dim, each in increasing order."""
+        groups: list[list[Simplex]] = [[] for _ in range(self.dim + 1)]
+        for f in self.faces:
+            groups[len(f) - 1].append(f)
+        return tuple(tuple(sorted(g)) for g in groups)
+
     def faces_of_dim(self, d: int) -> list[Simplex]:
-        return sorted(f for f in self.faces if len(f) - 1 == d)
+        return list(self.faces_by_dim[d]) if 0 <= d <= self.dim else []
 
     @cached_property
     def f_vector(self) -> tuple[int, ...]:
@@ -151,7 +171,7 @@ def skeleton(K: SimplicialComplex, j: int) -> SimplicialComplex:
     if j >= K.dim:
         return K
     mx = [m for m in K.maximal_simplices if len(m) - 1 <= j]
-    mx += K.faces_of_dim(j)
+    mx += K.faces_by_dim[j]
     return SimplicialComplex(mx, name=K.name)
 
 
@@ -191,7 +211,8 @@ def connected_components(K: SimplicialComplex) -> list[SimplicialComplex]:
     groups: dict[int, list[Simplex]] = defaultdict(list)
     for m in K.maximal_simplices:
         groups[find(m[0])].append(m)
-    comps = [SimplicialComplex(ms, name=K.name) for ms in groups.values()]
+    comps = [SimplicialComplex._trusted(ms, name=K.name)
+             for ms in groups.values()]
     return sorted(comps, key=lambda c: c.vertices[0])
 
 
@@ -262,9 +283,9 @@ def betti_numbers_mod2(K: SimplicialComplex) -> list[int]:
     n = K.dim
     ranks = [0] * (n + 2)  # ranks[p] = rank of the boundary map in degree p
     for p in range(1, n + 1):
-        lower = {f: i for i, f in enumerate(K.faces_of_dim(p - 1))}
+        lower = {f: i for i, f in enumerate(K.faces_by_dim[p - 1])}
         rows = []
-        for f in K.faces_of_dim(p):
+        for f in K.faces_by_dim[p]:
             mask = 0
             for fac in combinations(f, len(f) - 1):
                 mask |= 1 << lower[fac]
@@ -302,7 +323,8 @@ class BarycentricSubdivision:
         """The subdivision of a subcomplex, inside this subdivision."""
         if not is_subcomplex(self.base, L):
             raise ValueError("not a subcomplex of the base")
-        return SimplicialComplex(_maximal_flags(L, self.face_vertex), name=L.name)
+        return SimplicialComplex._trusted(_maximal_flags(L, self.face_vertex),
+                                          name=L.name)
 
 
 def _maximal_flags(K: SimplicialComplex, face_vertex: Mapping[Simplex, int]) -> list[Simplex]:
@@ -318,8 +340,9 @@ def barycentric_subdivision(K: SimplicialComplex) -> BarycentricSubdivision:
     """Subdivide, labelling each fresh vertex by the base face it splits."""
     ordered = sorted(K.faces, key=lambda f: (len(f), f))
     face_vertex = {f: i for i, f in enumerate(ordered)}
-    sd = SimplicialComplex(_maximal_flags(K, face_vertex),
-                           name=f"sd({K.name})" if K.name else "")
+    # the maximal flags are distinct and none contains another
+    sd = SimplicialComplex._trusted(_maximal_flags(K, face_vertex),
+                                    name=f"sd({K.name})" if K.name else "")
     return BarycentricSubdivision(base=K, complex=sd,
                                   vertex_face=tuple(ordered),
                                   face_vertex=face_vertex)

@@ -12,12 +12,20 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .complexes import SimplicialComplex, Simplex, betti_numbers_mod2, simplex
 from .tiles import MorseTile
-from .tiling import MorseTiling, Report, critical_vector, validate_tiling
+from .tiling import (
+    MorseTiling,
+    Report,
+    bounded_errors,
+    critical_vector,
+    validate_tiling,
+)
 
 
 class CyclicFieldError(ValueError):
@@ -31,10 +39,23 @@ class CyclicFieldError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class DiscreteVectorField:
-    """Matching from faces to cofaces over a domain of open faces."""
+    """Matching from faces to cofaces over a domain of open faces.
+
+    The matching is copied into a read-only mapping at construction, so
+    what is derived from it (the V-path walk) is computed once per field.
+    """
 
     matching: Mapping[Simplex, Simplex]
     domain: frozenset[Simplex]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "matching",
+                           MappingProxyType(dict(self.matching)))
+        object.__setattr__(self, "domain", frozenset(self.domain))
+
+    @cached_property
+    def _walk(self) -> tuple[tuple[Simplex, ...] | None, dict[Simplex, int]]:
+        return _vpath_walk(self)
 
     @property
     def pairs(self) -> list[tuple[Simplex, Simplex]]:
@@ -88,14 +109,22 @@ def validate_field(W: DiscreteVectorField) -> Report:
             errors.append(f"faces {seen[b]} and {a} are both matched to {b}")
         else:
             seen[b] = a
-    return Report(not errors, errors)
+    return Report(not errors, bounded_errors(errors))
 
 
 # -- tile fields -------------------------------------------------------------
 
 
 def tile_field(t: MorseTile) -> DiscreteVectorField:
-    """The canonical matching on a tile's open faces.
+    """The canonical matching on a tile's open faces; see
+    :func:`_match_tile` for the rule."""
+    matching: dict[Simplex, Simplex] = {}
+    _match_tile(t, matching)
+    return DiscreteVectorField(matching, t.extension)
+
+
+def _match_tile(t: MorseTile, matching: dict[Simplex, Simplex]) -> None:
+    """Add the canonical matching on a tile's open faces to ``matching``.
 
     Pair each face with its toggle by the least vertex outside the removed
     face (outside the witnesses when absent); faces losing their partner to
@@ -105,14 +134,11 @@ def tile_field(t: MorseTile) -> DiscreteVectorField:
     witness set on a critical tile, none on regular tiles.
     """
     ext = t.extension
-    if t.is_empty:
-        return DiscreteVectorField({}, frozenset())
     cl = set(t.closure)
-    if t.witnesses == cl:  # open simplex
-        return DiscreteVectorField({}, frozenset(ext))
+    if t.witnesses == cl:  # the empty tile or an open simplex
+        return
     tau = None if t.removed_face is None else set(t.removed_face)
     w = min(cl - (tau if tau is not None else t.witnesses))
-    matching: dict[Simplex, Simplex] = {}
     for f in ext:
         if w not in f:
             matching[f] = tuple(sorted(f + (w,)))
@@ -126,16 +152,21 @@ def tile_field(t: MorseTile) -> DiscreteVectorField:
                 if w2 not in f:
                     matching[f] = tuple(sorted(f + (w2,)))
         # critical: the single stranded face stays unmatched
-    return DiscreteVectorField(matching, frozenset(ext))
 
 
 def compatible_field(t: MorseTiling) -> DiscreteVectorField:
     """Union of the canonical tile fields over a tiling; critical cells
-    correspond to critical tiles, preserving the index."""
+    correspond to critical tiles, preserving the index.
+
+    The field is built once per tiling and shared by later calls."""
+    return t._field
+
+
+def _compatible_field(t: MorseTiling) -> DiscreteVectorField:
     matching: dict[Simplex, Simplex] = {}
     for tile in t.tiles:
-        matching.update(tile_field(tile).matching)
-    return DiscreteVectorField(matching, frozenset(t.carrier))
+        _match_tile(tile, matching)
+    return DiscreteVectorField(matching, t.carrier)
 
 
 # -- V-paths -----------------------------------------------------------------
@@ -150,7 +181,7 @@ def _vpath_successors(W: DiscreteVectorField, f: Simplex) -> list[Simplex]:
 
 
 def _vpath_walk(W: DiscreteVectorField) -> \
-        tuple[list[Simplex] | None, dict[Simplex, int]]:
+        tuple[tuple[Simplex, ...] | None, dict[Simplex, int]]:
     """One depth-first walk of the V-path graph from every matched face in
     sorted order.
 
@@ -171,8 +202,8 @@ def _vpath_walk(W: DiscreteVectorField) -> \
                 if nxt in depth:
                     continue
                 if nxt in on_path:
-                    return ([frame[0] for frame in stack[on_path[nxt]:]]
-                            + [nxt]), depth
+                    return (tuple(frame[0] for frame in stack[on_path[nxt]:])
+                            + (nxt,)), depth
                 nsucc = _vpath_successors(W, nxt)
                 if not nsucc:  # finished at once, so never pushed
                     depth[nxt] = 1
@@ -190,7 +221,8 @@ def _vpath_walk(W: DiscreteVectorField) -> \
 def find_closed_vpath(W: DiscreteVectorField) -> list[Simplex] | None:
     """A non-stationary closed V-path as a witness list (first face
     repeated at the end), or None when the field is acyclic."""
-    return _vpath_walk(W)[0]
+    cycle = W._walk[0]
+    return None if cycle is None else list(cycle)
 
 
 def is_vpath(W: DiscreteVectorField, seq: list[Simplex]) -> bool:
@@ -237,9 +269,9 @@ def morse_function(W: DiscreteVectorField) -> DiscreteMorseFunction:
     slightly above the lower cell's dimension, ordered along descending
     V-paths so that the two Morse conditions hold.
     """
-    cycle, depth = _vpath_walk(W)
+    cycle, depth = W._walk
     if cycle is not None:
-        raise CyclicFieldError(cycle)
+        raise CyclicFieldError(list(cycle))
     by_dim: dict[int, list[Simplex]] = defaultdict(list)
     for f in W.domain:
         by_dim[len(f) - 1].append(f)
@@ -317,7 +349,8 @@ def validate_morse_function(f: DiscreteMorseFunction,
         matches = unique_drops and gradient == dict(W.matching)
         if not matches:
             errors.append("extracted gradient differs from the given field")
-    return MorseFunctionReport(not errors, errors, exceptions, matches)
+    return MorseFunctionReport(not errors, bounded_errors(errors), exceptions,
+                               matches)
 
 
 def gradient_of(f: DiscreteMorseFunction) -> DiscreteVectorField:
@@ -366,7 +399,6 @@ def morse_inequalities_report(K: SimplicialComplex,
     betti = betti_numbers_mod2(K)
     cv = critical_vector(t)
     critical = list(cv.counts) + [0] * (len(betti) - len(cv.counts))
-    critical = critical[: max(len(betti), len(cv.counts))]
     messages = []
     W = compatible_field(t)
     cycle = find_closed_vpath(W)

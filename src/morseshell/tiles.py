@@ -61,6 +61,18 @@ class MorseTile:
         else:
             object.__setattr__(self, "removed_face", tau)
 
+    @classmethod
+    def _trusted(cls, closure: Simplex, witnesses: frozenset[int],
+                 removed_face: Simplex | None) -> "MorseTile":
+        """Trusted constructor, without the checks and normalisation of
+        ``__post_init__``: the fields must already be those of a normalised
+        tile, as in a tile the library relabels by an order-preserving
+        vertex map."""
+        tile = cls.__new__(cls)
+        tile.__dict__.update(closure=closure, witnesses=witnesses,
+                             removed_face=removed_face)
+        return tile
+
     # -- basic shape data ------------------------------------------------
 
     @property

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
@@ -47,12 +48,21 @@ class SearchBudgetExceeded(RuntimeError):
     """The shelling search ran out of its node budget."""
 
 
+# messages a validator lists; a closing line gives the total beyond them
+MAX_ERRORS = 100
+
+
 @dataclass(frozen=True, eq=False)
 class MorseTiling:
     ambient: SimplicialComplex
     carrier: frozenset[Simplex]
     tiles: tuple[MorseTile, ...]
     ordered: bool = False
+
+    def __post_init__(self) -> None:
+        # frozen fields, so that what is derived from them is computed once
+        object.__setattr__(self, "carrier", frozenset(self.carrier))
+        object.__setattr__(self, "tiles", tuple(self.tiles))
 
     @classmethod
     def over_complex(cls, K: SimplicialComplex, tiles: Iterable[MorseTile],
@@ -65,6 +75,15 @@ class MorseTiling:
 
     def covers_complex(self) -> bool:
         return self.carrier == self.ambient.faces
+
+    @cached_property
+    def _errors(self) -> tuple[tuple[str, ...], int]:
+        return _tiling_errors(self)
+
+    @cached_property
+    def _field(self):
+        from .morse import _compatible_field  # morse imports this module
+        return _compatible_field(self)
 
     def __repr__(self) -> str:
         tag = "shelling-ordered" if self.ordered else "unordered"
@@ -130,8 +149,20 @@ def _faces_under_lower_tiles(f: Simplex, d: int,
     return out
 
 
-def validate_tiling(t: MorseTiling) -> Report:
-    """Check the partition and the dimension-filtration criterion."""
+def bounded_errors(errors: Sequence[str], total: int | None = None) -> list[str]:
+    """The first MAX_ERRORS of a validator's messages, closed by a line
+    with the total count (default ``len(errors)``) when there are more."""
+    total = len(errors) if total is None else total
+    shown = list(errors[:MAX_ERRORS])
+    if total > MAX_ERRORS:
+        shown.append(f"{total} errors in all; the first {MAX_ERRORS} are"
+                     " listed")
+    return shown
+
+
+def _tiling_errors(t: MorseTiling) -> tuple[tuple[str, ...], int]:
+    """The first MAX_ERRORS messages of :func:`validate_tiling`, and how
+    many errors there are in all."""
     errors: list[str] = []
     ambient_faces = t.ambient.faces
     for f in sorted(t.carrier - ambient_faces):
@@ -163,15 +194,23 @@ def validate_tiling(t: MorseTiling) -> Report:
                     f" under face {f} of a tile of dimension {d};"
                     f" the union of tiles of dimension > {ds} is not"
                     " a subcomplex trace")
-    return Report(not errors, errors)
+    return tuple(errors[:MAX_ERRORS]), len(errors)
+
+
+def validate_tiling(t: MorseTiling) -> Report:
+    """Check the partition and the dimension-filtration criterion.
+
+    The check runs once per tiling; each call returns a fresh report."""
+    shown, total = t._errors
+    return Report(not total, bounded_errors(shown, total))
 
 
 def validate_shelling(t: MorseTiling) -> Report:
     """Check tiling validity plus the prefix filtration of the tile order."""
     if not t.ordered:
         raise ValueError("tiling is not marked as ordered")
-    report = validate_tiling(t)
-    errors = report.errors
+    shown, total = t._errors
+    errors = list(shown)
     covered: set[Simplex] = set()
     for idx, tile in enumerate(t.tiles):
         covered |= tile.extension
@@ -183,7 +222,8 @@ def validate_shelling(t: MorseTiling) -> Report:
                             f"prefix {idx + 1}: carrier face {sub} under"
                             f" {f} is missing, so the prefix is not a"
                             " subcomplex trace")
-    return Report(not errors, errors)
+    total += len(errors) - len(shown)
+    return Report(not total, bounded_errors(errors, total))
 
 
 def classical_shelling_order(K: SimplicialComplex,
@@ -438,14 +478,17 @@ def subdivide_tiling(t: MorseTiling, iterations: int = 1) -> MorseTiling:
             if key not in templates:
                 templates[key] = _tile_template(*key)
             subs, pieces = templates[key]
+            # increasing: the ambient numbers faces by (size, vertices), and
+            # the positions map onto the increasing closure
             ids = [fv[tuple(cl[i] for i in sub)] for sub in subs]
             for u in pieces:
-                tiles.append(MorseTile(
+                tiles.append(MorseTile._trusted(
                     tuple(ids[v] for v in u.closure),
                     frozenset(ids[v] for v in u.witnesses),
                     None if u.removed_face is None
                     else tuple(ids[v] for v in u.removed_face)))
-        carrier = sd.faces_over(cur.carrier)
+        carrier = sd.complex.faces if cur.covers_complex() else \
+            sd.faces_over(cur.carrier)
         cur = MorseTiling(sd.complex, carrier, tuple(tiles), cur.ordered)
     return cur
 

@@ -316,6 +316,21 @@ def test_subdivide_and_skeleton_reject_invalid_tiling(tmp_path, argv):
     assert any("(0, 1, 5)" in e for e in data["errors"])
 
 
+def test_verify_tiling_lists_at_most_100_errors(tmp_path, capsys):
+    # no tiles over a path of 51 vertices: each of its 101 faces is uncovered
+    tpath = tmp_path / "tiling.json"
+    tpath.write_text(json.dumps({
+        "complex": {"maximal_simplices": [[i, i + 1] for i in range(50)]},
+        "tiles": []}))
+    code, out, _ = run(capsys, "verify-tiling", "--tiling", str(tpath))
+    assert code == 1
+    data = json.loads(out)
+    assert data["valid"] is False
+    assert len(data["errors"]) == 101
+    assert data["errors"][0] == "carrier face (0,) is not covered by any tile"
+    assert data["errors"][-1] == "101 errors in all; the first 100 are listed"
+
+
 def test_flag_of_another_command_rejected(tmp_path):
     path = write_complex(tmp_path, boundary_sphere(3))
     code, out, err = run_process("betti", "--complex", path, "--n", "3")

@@ -329,6 +329,60 @@ def test_connected_components():
     assert [c.vertices for c in comps] == [(0, 1, 2), (5, 6), (9,)]
 
 
+def reference_components(K):
+    """Components grown by repeated scans for maximal simplices that share
+    a vertex, each built through the public constructor."""
+    left = list(K.maximal_simplices)
+    out = []
+    while left:
+        comp, verts = [left.pop(0)], set()
+        verts.update(comp[0])
+        grown = True
+        while grown:
+            grown = False
+            for m in list(left):
+                if verts & set(m):
+                    comp.append(m)
+                    verts.update(m)
+                    left.remove(m)
+                    grown = True
+        out.append(make_complex(comp, name=K.name))
+    return sorted(out, key=lambda c: c.vertices[0])
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_connected_components_match_the_public_constructor(seed):
+    # one to three catalog surfaces on shuffled, interleaved vertex ids
+    rng = random.Random(seed)
+    corpus = [K for _, K in surface_corpus()]
+    maximal, offset = [], 0
+    for K in rng.sample(corpus, rng.randint(1, 3)):
+        maximal += [[v + offset for v in m] for m in K.maximal_simplices]
+        offset += max(K.vertices) + 1
+    perm = list(range(offset))
+    rng.shuffle(perm)
+    K = make_complex([[perm[v] for v in m] for m in maximal], name="union")
+    got = connected_components(K)
+    expect = reference_components(K)
+    assert [(c.maximal_simplices, c.name, c.faces, c.f_vector) for c in got] \
+        == [(c.maximal_simplices, c.name, c.faces, c.f_vector) for c in expect]
+
+
+@pytest.mark.parametrize("K", [K for _, K in surface_corpus()]
+                         + [untileable_wheel(), full_simplex(3),
+                            make_complex([[0, 1, 2], [2, 3], [7]])])
+def test_faces_by_dim_lists_each_dimension_in_order(K):
+    assert len(K.faces_by_dim) == K.dim + 1
+    for d in range(-1, K.dim + 2):
+        expect = sorted(f for f in K.faces if len(f) - 1 == d)
+        got = K.faces_of_dim(d)
+        assert got == expect
+        got.append((99,))  # a caller's list is its own
+        assert K.faces_of_dim(d) == expect
+        if 0 <= d <= K.dim:
+            assert K.faces_by_dim[d] == tuple(expect)
+
+
 def test_single_face_intersection_simple_cases():
     K = full_simplex(2)
     assert single_face_intersection(K, make_complex([[0, 1]]))

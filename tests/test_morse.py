@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from morseshell import tiling
 from morseshell.catalog import surface_corpus
 from morseshell.complexes import make_complex
 from morseshell.generators import HANDLE_VARIANTS, handle_tiling, shell_surface
@@ -288,6 +289,26 @@ def test_validators_share_one_report_type():
     rep = validate_morse_function(morse_function(W), W)
     for r in (validate_tiling(t), validate_field(W), rep):
         assert isinstance(r, Report) and bool(r) is r.valid is True
+
+
+def test_field_and_function_validators_list_at_most_100_errors(monkeypatch):
+    # 150 vertex-to-vertex pairs break two conditions each; a constant
+    # function on a path breaks a Morse condition at almost every face
+    W = DiscreteVectorField({(2 * i,): (2 * i + 1,) for i in range(150)},
+                            frozenset((v,) for v in range(300)))
+    path = make_complex([(i, i + 1) for i in range(120)])
+    f = DiscreteMorseFunction({x: Fraction(0) for x in path.faces}, path.faces)
+    with monkeypatch.context() as m:
+        m.setattr(tiling, "MAX_ERRORS", 10 ** 9)
+        full = [validate_field(W), validate_morse_function(f, W)]
+    for rep, whole in zip([validate_field(W), validate_morse_function(f, W)],
+                          full):
+        assert len(whole.errors) > 100
+        assert rep.errors == whole.errors[:100] + [
+            f"{len(whole.errors)} errors in all; the first 100 are listed"]
+        assert rep.valid is whole.valid is False
+    assert rep.exceptions == full[1].exceptions
+    assert rep.gradient_matches is full[1].gradient_matches is False
 
 
 # -- oracles: V-path search, depths and Fraction comparisons done directly ---

@@ -5,6 +5,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+from morseshell import tiling
 from morseshell.complexes import (
     euler_characteristic,
     make_complex,
@@ -92,6 +93,51 @@ def test_shelling_prefix_failure_detected():
     rep = validate_shelling(bad)
     assert not rep.valid
     assert any(e.startswith("prefix 1:") for e in rep.errors)
+
+
+def path_complex(n):
+    """The path on vertices 0..n-1: 2n - 1 faces."""
+    return make_complex([(i, i + 1) for i in range(n - 1)])
+
+
+@pytest.mark.parametrize("K, listed", [
+    (path_complex(50), 99),
+    (make_complex([(i, i + 1) for i in range(49)] + [(60,)]), 100),
+    (path_complex(51), 101),
+    (path_complex(200), 101)])
+def test_validate_tiling_lists_at_most_100_errors(K, listed):
+    rep = validate_tiling(MorseTiling.over_complex(K, []))
+    assert not rep.valid
+    assert len(rep.errors) == listed
+    uncovered = [f"carrier face {f} is not covered by any tile"
+                 for f in sorted(K.faces)]
+    assert rep.errors[:100] == uncovered[:100]
+    if len(K.faces) > 100:
+        assert rep.errors[100] == (f"{len(K.faces)} errors in all; the first"
+                                   " 100 are listed")
+
+
+@pytest.mark.parametrize("dropped", [1, 60])
+def test_validate_shelling_bounds_tiling_and_prefix_errors_together(
+        dropped, monkeypatch):
+    # the reversed shelling of a path misses a vertex at every prefix, and
+    # each dropped tile leaves its faces uncovered
+    K = path_complex(121)
+    tiles = search_shelling(K).tiles
+
+    def build():
+        return MorseTiling.over_complex(K, tiles[::-1][dropped:], ordered=True)
+
+    with monkeypatch.context() as m:  # the whole list, on its own tiling
+        m.setattr(tiling, "MAX_ERRORS", 10 ** 9)
+        full = validate_shelling(build()).errors
+    assert len(full) > 100
+    assert any(e.startswith("prefix") for e in full)
+    assert any("not covered" in e for e in full)
+    rep = validate_shelling(build())
+    assert not rep.valid
+    assert rep.errors == full[:100] + [f"{len(full)} errors in all; the"
+                                       " first 100 are listed"]
 
 
 def test_nonclassical_shelling_with_connecting_edge():
