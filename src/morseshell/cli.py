@@ -160,6 +160,8 @@ def _cmd_shell_surface(args) -> tuple[int, dict]:
 
 
 def _cmd_search_shelling(args) -> tuple[int, dict]:
+    if args.budget < 0:
+        raise CliError("--budget must be non-negative")
     K = _load_complex(args.complex)
     try:
         t = search_shelling(K, budget=args.budget)

@@ -157,8 +157,9 @@ class MorseTile:
         if not isinstance(data, Mapping):
             raise TypeError(f"a tile must be an object, got {data!r}")
         tau = data.get("removed_face")
+        ws = data.get("removed_witnesses", ())
         return cls(tuple(data["closure"]),
-                   frozenset(data.get("removed_witnesses", ())),
+                   frozenset(ws and simplex(ws)),  # distinct vertex ids
                    None if tau is None else tuple(tau))
 
 

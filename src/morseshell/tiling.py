@@ -77,7 +77,7 @@ class MorseTiling:
         return self.carrier == self.ambient.faces
 
     @cached_property
-    def _errors(self) -> tuple[tuple[str, ...], int]:
+    def _errors(self) -> tuple[tuple[str, ...], int, tuple[str, ...], int]:
         return _tiling_errors(self)
 
     @cached_property
@@ -160,9 +160,24 @@ def bounded_errors(errors: Sequence[str], total: int | None = None) -> list[str]
     return shown
 
 
-def _tiling_errors(t: MorseTiling) -> tuple[tuple[str, ...], int]:
-    """The first MAX_ERRORS messages of :func:`validate_tiling`, and how
-    many errors there are in all."""
+def _nearest_carrier_faces(f: Simplex, carrier: frozenset[Simplex]) -> list[Simplex]:
+    """The carrier faces under f with no carrier face between them and f:
+    the facets of f when the carrier is closed under faces."""
+    found, level = set(), {f}
+    while level:  # one size down at a time, through faces off the carrier
+        level = {h for g in level for h in combinations(g, len(g) - 1) if h}
+        found |= level & carrier
+        level -= carrier
+    return [s for s in found if not any(set(s) < set(o) for o in found)]
+
+
+def _tiling_errors(t: MorseTiling) -> tuple[tuple[str, ...], int, tuple[str, ...], int]:
+    """The first MAX_ERRORS messages of :func:`validate_tiling` and their
+    total, then those of the prefix check of :func:`validate_shelling`.
+
+    Both conditions are transitive along chains of faces, so each covered
+    face is compared only with its nearest carrier faces.
+    """
     errors: list[str] = []
     ambient_faces = t.ambient.faces
     for f in sorted(t.carrier - ambient_faces):
@@ -175,6 +190,7 @@ def _tiling_errors(t: MorseTiling) -> tuple[tuple[str, ...], int]:
         if tile.closure not in ambient_faces:
             errors.append(f"tile {idx}: closure {tile.closure} is not a"
                           " simplex of the ambient complex")
+            continue  # its 2^n faces are not enumerated
         for f in tile.extension:
             if f in owner:
                 errors.append(f"face {f} is covered by tiles {owner[f]} and {idx}")
@@ -184,24 +200,33 @@ def _tiling_errors(t: MorseTiling) -> tuple[tuple[str, ...], int]:
         errors.append(f"carrier face {f} is not covered by any tile")
     for f in sorted(owner.keys() - t.carrier):
         errors.append(f"face {f} is covered but lies outside the carrier")
-    if not errors:
-        tile_dim = {f: t.tiles[i].dim for f, i in owner.items()}
-        for f, d in sorted(tile_dim.items()):
-            for sub in _faces_under_lower_tiles(f, d, tile_dim):
-                ds = tile_dim[sub]
-                errors.append(
-                    f"face {sub} lies in a tile of dimension {ds}"
-                    f" under face {f} of a tile of dimension {d};"
-                    f" the union of tiles of dimension > {ds} is not"
-                    " a subcomplex trace")
-    return tuple(errors[:MAX_ERRORS]), len(errors)
+    partition_ok, closed = not errors, t.covers_complex()
+    dims = [u.dim for u in t.tiles]
+    lower, later = [], []
+    for f, i in owner.items():
+        for sub in (combinations(f, len(f) - 1) if closed
+                    else _nearest_carrier_faces(f, t.carrier)):
+            j = owner.get(sub, i)  # i itself for an uncovered or empty face
+            if partition_ok and dims[j] < dims[i]:
+                lower.append((f, len(sub), sub, dims[j], dims[i]))
+            if j > i:
+                later.append((i, f, len(sub), sub))
+    total = len(errors) + len(lower)
+    errors += [f"face {sub} lies in a tile of dimension {ds} under face {f}"
+               f" of a tile of dimension {d}; the union of tiles of dimension"
+               f" > {ds} is not a subcomplex trace"
+               for f, _, sub, ds, d in sorted(lower)[:MAX_ERRORS]]
+    prefix = [f"prefix {i + 1}: carrier face {sub} under {f} is missing, so"
+              " the prefix is not a subcomplex trace"
+              for i, f, _, sub in sorted(later)[:MAX_ERRORS]]
+    return tuple(errors[:MAX_ERRORS]), total, tuple(prefix), len(later)
 
 
 def validate_tiling(t: MorseTiling) -> Report:
     """Check the partition and the dimension-filtration criterion.
 
     The check runs once per tiling; each call returns a fresh report."""
-    shown, total = t._errors
+    shown, total, _, _ = t._errors
     return Report(not total, bounded_errors(shown, total))
 
 
@@ -209,21 +234,9 @@ def validate_shelling(t: MorseTiling) -> Report:
     """Check tiling validity plus the prefix filtration of the tile order."""
     if not t.ordered:
         raise ValueError("tiling is not marked as ordered")
-    shown, total = t._errors
-    errors = list(shown)
-    covered: set[Simplex] = set()
-    for idx, tile in enumerate(t.tiles):
-        covered |= tile.extension
-        for f in sorted(tile.extension):
-            for r in range(1, len(f)):
-                for sub in combinations(f, r):
-                    if sub in t.carrier and sub not in covered:
-                        errors.append(
-                            f"prefix {idx + 1}: carrier face {sub} under"
-                            f" {f} is missing, so the prefix is not a"
-                            " subcomplex trace")
-    total += len(errors) - len(shown)
-    return Report(not total, bounded_errors(errors, total))
+    shown, total, prefix, prefix_total = t._errors
+    total += prefix_total  # the tiling's errors, then the prefix check's
+    return Report(not total, bounded_errors(shown + prefix, total))
 
 
 def classical_shelling_order(K: SimplicialComplex,
@@ -523,15 +536,17 @@ def search_shelling(K: SimplicialComplex,
     maximal simplices.
 
     Returns the lexicographically first shelling, or None after exhausting
-    the space.  Raises :class:`SearchBudgetExceeded` past the node budget.
-    Only shellings whose tile closures are maximal simplices exist for a
-    full complex, so the ordering search is complete.
+    the space.  Raises :class:`SearchBudgetExceeded` past the node budget
+    (ValueError if it is negative).  Only shellings whose tile closures are
+    maximal simplices exist for a full complex, so the search is complete.
 
     The search keeps an explicit stack of attached simplices, so its depth
     is not bounded by the interpreter's recursion limit.  A candidate's new
     faces cannot lie under a covered face (that face's closed simplex was
     attached whole), so only their sub-faces are checked.
     """
+    if budget < 0:
+        raise ValueError(f"budget must be non-negative, got {budget}")
     ms = list(K.maximal_simplices)
     n = len(ms)
     tile_dim: dict[Simplex, int] = {}

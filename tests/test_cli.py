@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -35,12 +36,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_process(*argv):
+def run_process(*argv, timeout=None):
     """The CLI in a fresh interpreter, so an escaping exception shows as a
     traceback on stderr."""
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-m", "morseshell.cli", *argv],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env,
+                          timeout=timeout)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -261,11 +263,13 @@ def _bad_usage_argvs(tmp_path):
         "out": ["subdivide", "--complex", cpath, "--out", missing],
         "skeleton-complex": ["skeleton", "--n", "-1", "--complex", cpath],
         "skeleton-tiling": ["skeleton", "--n", "-1", "--tiling", str(spath)],
+        "budget": ["search-shelling", "--complex", cpath, "--budget", "-3"],
     }
 
 
 @pytest.mark.parametrize("case", ["start", "iterations", "out",
-                                  "skeleton-complex", "skeleton-tiling"])
+                                  "skeleton-complex", "skeleton-tiling",
+                                  "budget"])
 def test_usage_errors_exit_2_without_traceback(tmp_path, case):
     code, out, err = run_process(*_bad_usage_argvs(tmp_path)[case])
     assert code == 2
@@ -469,6 +473,35 @@ def test_non_object_tile_exits_2_without_traceback(tmp_path, tile):
         assert out == ""
         assert "Traceback" not in err
         assert "bad tiling file" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("witness", [2.0, True, "1", -1])
+def test_non_integer_witness_is_a_bad_tiling_file(tmp_path, capsys, witness):
+    data = shell_surface(boundary_sphere(3)).to_dict()
+    data["tiles"][-1]["removed_witnesses"][0] = witness
+    tpath = tmp_path / "shelling.json"
+    tpath.write_text(json.dumps(data))
+    for argv in _tiling_commands(tmp_path, tpath):
+        code, out, err = run(capsys, *argv, "--tiling", str(tpath))
+        assert code == 2, argv
+        assert out == ""
+        assert "bad tiling file" in json.loads(err)["error"]
+
+
+def test_closure_off_the_complex_is_not_enumerated(tmp_path):
+    # a closure of 40 vertices has 2^40 faces; it is reported, not walked
+    tpath = tmp_path / "tiling.json"
+    tpath.write_text(json.dumps({
+        "complex": {"maximal_simplices": [[0]]},
+        "tiles": [{"closure": list(range(40))}]}))
+    start = time.perf_counter()
+    code, out, err = run_process("verify-tiling", "--tiling", str(tpath),
+                                 timeout=10)
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert json.loads(out)["errors"] == [
+        f"tile 0: closure {tuple(range(40))} is not a simplex of the ambient"
+        " complex", "carrier face (0,) is not covered by any tile"]
 
 
 def test_verify_shelling_rejects_non_bool_ordered(tmp_path):

@@ -338,6 +338,23 @@ def test_tile_json_round_trip():
         assert MorseTile.from_dict(t.to_dict()) == t
 
 
+@pytest.mark.parametrize("witnesses, error", [
+    ([2.0], "vertex ids must be non-negative"),
+    ([True], "vertex ids must be non-negative"),
+    (["2"], "vertex ids must be non-negative"),
+    ([-1], "vertex ids must be non-negative"),
+    ([2, 2], "duplicate vertex id 2")])
+def test_tile_from_dict_takes_only_vertex_id_witnesses(witnesses, error):
+    with pytest.raises(ValueError, match=error):
+        MorseTile.from_dict({"closure": [1, 2], "removed_witnesses": witnesses})
+
+
+@pytest.mark.parametrize("witnesses", [None, 0, False, 2])
+def test_tile_from_dict_takes_only_a_witness_list(witnesses):
+    with pytest.raises(TypeError):
+        MorseTile.from_dict({"closure": [1, 2], "removed_witnesses": witnesses})
+
+
 def test_normalize_against_brute_force_recognizer():
     # every subset of the faces of the 3-simplex, checked against the full
     # table of tile extensions on its vertex subsets

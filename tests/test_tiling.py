@@ -383,6 +383,21 @@ def test_search_shelling_budget():
         search_shelling(K, budget=2)
 
 
+def test_search_shelling_rejects_negative_budget():
+    with pytest.raises(ValueError, match="non-negative"):
+        search_shelling(boundary_simplex(4), budget=-3)
+
+
+def test_validate_tiling_skips_faces_of_a_closure_off_the_complex():
+    # 2^40 faces, none enumerated; the complex's one point stays uncovered
+    t = MorseTiling.over_complex(make_complex([(0,)]),
+                                 [MorseTile(tuple(range(40)))], ordered=True)
+    rep = validate_shelling(t)
+    assert rep.errors == [
+        f"tile 0: closure {tuple(range(40))} is not a simplex of the ambient"
+        " complex", "carrier face (0,) is not covered by any tile"]
+
+
 def test_search_shelling_long_path():
     # one stack frame per maximal simplex: far past the recursion limit
     K = make_complex([(i, i + 1) for i in range(1200)])
