@@ -12,7 +12,7 @@ import argparse
 import json
 import math
 import sys
-from typing import Any
+from typing import Any, Iterable
 
 from .complexes import (
     SimplicialComplex,
@@ -71,14 +71,18 @@ def _load_json(path: str) -> Any:
 def _load_complex(path: str) -> SimplicialComplex:
     data = _load_json(path)
     try:
-        return SimplicialComplex.from_dict(data)
+        K = SimplicialComplex.from_dict(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"bad complex file {path}: {exc}") from exc
+    _check_faces(K.maximal_simplices)
+    return K
 
 
 def _load_tiling(path: str) -> MorseTiling:
     data = _load_json(path)
     try:
+        # the complex's faces are built as it is read, so check them first
+        _check_faces(data["complex"]["maximal_simplices"])
         return MorseTiling.from_dict(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"bad tiling file {path}: {exc}") from exc
@@ -179,6 +183,13 @@ def _check_cap(predicted: int, noun: str) -> None:
     than 10^7 items."""
     if predicted > 10 ** 7:
         raise CliError(f"predicted {noun} exceeds the 10^7 cap")
+
+
+def _check_faces(maximal: Iterable) -> None:
+    """Refuse a complex predicted, at 2^n - 1 faces per maximal simplex on n
+    vertices, to pass the cap; non-list entries are left to its reader."""
+    _check_cap(sum(2 ** min(len(m), 64) - 1 for m in maximal
+                   if isinstance(m, (list, tuple))), "face count of the complex")
 
 
 def _cmd_subdivide(args) -> tuple[int, dict]:

@@ -45,10 +45,6 @@ def facets_of(s: Simplex) -> Iterator[Simplex]:
     return combinations(s, len(s) - 1)
 
 
-def dim_of(s: Simplex) -> int:
-    return len(s) - 1
-
-
 class SimplicialComplex:
     """A finite simplicial complex given by its maximal simplices.
 

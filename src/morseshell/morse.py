@@ -18,7 +18,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .complexes import SimplicialComplex, Simplex, betti_numbers_mod2, simplex
-from .tiles import MorseTile
+from .tiles import MorseTile, interval
 from .tiling import (
     MorseTiling,
     Report,
@@ -143,12 +143,10 @@ def _match_tile(t: MorseTile, matching: dict[Simplex, Simplex]) -> None:
         if w not in f:
             matching[f] = tuple(sorted(f + (w,)))
     if tau is not None:
-        stranded = [f for f in ext
-                    if w in f and set(f) - {w} <= tau]
         spare = tau - t.witnesses
         if spare:  # regular: re-pair inside the stranded block
             w2 = min(spare)
-            for f in stranded:
+            for f in interval(t.witnesses | {w}, tau | {w}):
                 if w2 not in f:
                     matching[f] = tuple(sorted(f + (w2,)))
         # critical: the single stranded face stays unmatched

@@ -17,7 +17,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .complexes import Simplex, faces_of, simplex
+from .complexes import Simplex, simplex
 
 
 class NotMorseTileError(ValueError):
@@ -122,22 +122,13 @@ class MorseTile:
 
     @cached_property
     def extension(self) -> frozenset[Simplex]:
-        """The open faces making up the tile."""
+        """The open faces making up the tile: the faces between the witness
+        set and the closure, minus those up to the removed face."""
         if self.is_empty:
             return frozenset()
-        core = tuple(sorted(self.witnesses))
-        rest = sorted(set(self.closure) - self.witnesses)
-        tau = None if self.removed_face is None else set(self.removed_face)
-        out = []
-        for r in range(len(rest) + 1):
-            for extra in combinations(rest, r):
-                phi = tuple(sorted(core + extra))
-                if not phi:
-                    continue
-                if tau is not None and set(phi) <= tau:
-                    continue
-                out.append(phi)
-        return frozenset(out)
+        ext = interval(self.witnesses, self.closure)
+        return ext if self.removed_face is None else \
+            ext - interval(self.witnesses, self.removed_face)
 
     def __repr__(self) -> str:
         if self.is_empty:
@@ -234,11 +225,7 @@ def boundary_partition(t: MorseTile,
     if sorted(order) != rest:
         raise ValueError("facet order must be a permutation of the remaining"
                          " facet witnesses")
-    pieces = []
-    for i, w in enumerate(order):
-        closure_i = tuple(x for x in t.closure if x != w)
-        pieces.append(MorseTile(closure_i, t.witnesses | set(order[:i])))
-    return pieces
+    return _drop_facets(t, order)
 
 
 def codim1_partition(t: MorseTile) -> list[MorseTile]:
@@ -246,18 +233,20 @@ def codim1_partition(t: MorseTile) -> list[MorseTile]:
     so that prefixes shell it."""
     if t.is_empty or t.dim <= 0:
         return []
-    if t.is_basic:
-        return boundary_partition(t)
-    tau = set(t.removed_face)
-    rest = sorted(set(t.closure) - t.witnesses)
-    w1 = min(x for x in rest if x not in tau)
-    order = [w1] + [x for x in rest if x != w1]
-    first_closure = tuple(x for x in t.closure if x != w1)
-    pieces = [MorseTile(first_closure, t.witnesses, t.removed_face)]
-    for i, w in enumerate(order[1:], start=1):
-        closure_i = tuple(x for x in t.closure if x != w)
-        pieces.append(MorseTile(closure_i, t.witnesses | set(order[:i])))
-    return pieces
+    order = sorted(set(t.closure) - t.witnesses)
+    if t.removed_face is not None:  # the least facet keeping it goes first
+        w1 = min(set(order) - set(t.removed_face))
+        order.sort(key=lambda x: x != w1)
+    return _drop_facets(t, order)
+
+
+def _drop_facets(t: MorseTile, order: Sequence[int]) -> list[MorseTile]:
+    """Piece i is the facet opposite order[i] with the earlier pieces'
+    facets removed; the first piece keeps the tile's removed face."""
+    return [MorseTile(tuple(x for x in t.closure if x != w),
+                      t.witnesses | set(order[:i]),
+                      t.removed_face if i == 0 else None)
+            for i, w in enumerate(order)]
 
 
 def skeleton_partition(t: MorseTile, j: int) -> list[MorseTile]:
@@ -301,42 +290,41 @@ def cone(t: MorseTile, apex: int, keep_apex: bool = False,
     return MorseTile(cl2, ws2, tau2)
 
 
+def interval(low: Iterable[int], high: Iterable[int]) -> frozenset[Simplex]:
+    """The non-empty faces phi with low <= phi <= high, as sorted tuples."""
+    low = tuple(low)
+    rest = [v for v in high if v not in low]
+    return frozenset(phi for r in range(len(rest) + 1)
+                     for extra in combinations(rest, r)
+                     if (phi := tuple(sorted(low + extra))))
+
+
 def normalize_tile(faces: Iterable[Simplex]) -> MorseTile:
     """Recognise a set of open faces as the extension of a Morse tile.
 
     A single vertex is returned as the closed point; it is the one face
     set realised by two different tiles (closed and open point).
     """
-    fs = {simplex(f) for f in faces}
+    return _recognise({simplex(f) for f in faces})
+
+
+def _recognise(fs: set[Simplex]) -> MorseTile:
+    """:func:`normalize_tile` on canonical faces.
+
+    The closure is the largest face, the witnesses the vertices all faces
+    share, and the removed face the largest face of the interval between
+    them that fs misses; fs is a tile exactly when it lies in that interval
+    and misses nothing or exactly the interval up to the removed face.
+    """
     if not fs:
         raise NotMorseTileError("empty face set")
-    closure = max(fs, key=lambda f: (len(f), f))
-    if sum(1 for f in fs if len(f) == len(closure)) != 1:
-        raise NotMorseTileError("no unique maximal face")
-    clset = set(closure)
-    if any(not set(f) <= clset for f in fs):
-        raise NotMorseTileError("faces do not lie in a single simplex")
-    if len(closure) == 1:
-        return MorseTile(closure)
-    core = set(clset)
-    for f in fs:
-        core &= set(f)
-    witnesses = frozenset(core)
-    rest = sorted(clset - witnesses)
-    candidate = set()
-    base = tuple(sorted(witnesses))
-    for r in range(len(rest) + 1):
-        for extra in combinations(rest, r):
-            phi = tuple(sorted(base + extra))
-            if phi:
-                candidate.add(phi)
-    missing = candidate - fs
-    if not missing:
-        return MorseTile(closure, witnesses)
-    tau = max(missing, key=len)
-    if sum(1 for f in missing if len(f) == len(tau)) != 1:
-        raise NotMorseTileError("missing faces have no unique maximal element")
-    interval = {f for f in faces_of(tau) if witnesses <= set(f)}
-    if missing != interval:
-        raise NotMorseTileError("missing faces do not form a single interval")
-    return MorseTile(closure, witnesses, tau)
+    closure = max(fs, key=len)
+    # a lone vertex is the closed point, not the open one
+    core = frozenset(closure).intersection(*fs) if len(closure) > 1 else ()
+    whole = interval(core, closure)
+    missing = whole - fs
+    tau = max(missing, key=len) if missing else None
+    if not fs <= whole or (missing and missing != interval(core, tau)):
+        raise NotMorseTileError("faces are not a closed simplex minus closed"
+                                " facets and one closed face")
+    return MorseTile(closure, frozenset(core), tau)

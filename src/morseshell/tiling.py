@@ -23,6 +23,7 @@ from .complexes import (
     barycentric_subdivision,
     euler_characteristic,
     faces_of,
+    facets_of,
     make_complex,
     simplex,
     skeleton,
@@ -30,8 +31,9 @@ from .complexes import (
 from .tiles import (
     MorseTile,
     NotMorseTileError,
+    _recognise,
     cone,
-    normalize_tile,
+    interval,
     skeleton_partition,
 )
 
@@ -133,20 +135,7 @@ def attach(sigma: Simplex, covered: set[Simplex],
     ext = set(faces_of(sigma)) - covered
     if carrier is not None:
         ext &= carrier
-    return normalize_tile(ext), ext
-
-
-def _faces_under_lower_tiles(f: Simplex, d: int,
-                             tile_dim: Mapping[Simplex, int]) -> list[Simplex]:
-    """Proper sub-faces of f whose tile has dimension below d; each one
-    breaks the filtration when f lies in a tile of dimension d."""
-    out = []
-    for r in range(1, len(f)):
-        for sub in combinations(f, r):
-            ds = tile_dim.get(sub)
-            if ds is not None and ds < d:
-                out.append(sub)
-    return out
+    return _recognise(ext), ext  # faces_of gives canonical faces
 
 
 def bounded_errors(errors: Sequence[str], total: int | None = None) -> list[str]:
@@ -419,25 +408,19 @@ def _subdivided_tiles(tile: MorseTile,
                                target)
     if tile.removed_face is None:
         return basic
-    interval = {f for f in faces_of(tile.removed_face)
-                if tile.witnesses <= set(f)}
+    removed = interval(tile.witnesses, tile.removed_face)
     out = []
     for u in basic:
-        keep = {f for f in u.extension if sd.carrier_face(f) not in interval}
-        if len(keep) == len(u.extension):
-            out.append(u)
-        else:
-            try:
-                out.append(normalize_tile(keep))
-            except NotMorseTileError as exc:  # pragma: no cover
-                raise RuntimeError(
-                    "subdivision produced a piece that is not a Morse tile;"
-                    " this is a bug") from exc
+        keep = {f for f in u.extension if sd.carrier_face(f) not in removed}
+        try:
+            out.append(u if len(keep) == len(u.extension) else _recognise(keep))
+        except NotMorseTileError as exc:  # pragma: no cover
+            raise RuntimeError("subdivision produced a piece that is not a"
+                               " Morse tile; this is a bug") from exc
     return out
 
 
-def subdivide_tile(tile: MorseTile,
-                   subdivision: BarycentricSubdivision | None = None) -> MorseTiling:
+def subdivide_tile(tile: MorseTile) -> MorseTiling:
     """Shell the first barycentric subdivision of a tile by (n+1)! tiles of
     the same dimension.
 
@@ -446,12 +429,8 @@ def subdivide_tile(tile: MorseTile,
     """
     if tile.is_empty:
         raise ValueError("cannot subdivide the empty tile")
-    sd = subdivision or barycentric_subdivision(make_complex([tile.closure]))
-    if tile.closure not in sd.base.faces:
-        raise ValueError("tile closure is not a face of the subdivided complex")
-    tiles = tuple(_subdivided_tiles(tile, sd))
-    carrier = sd.faces_over(tile.extension)
-    return MorseTiling(sd.complex, carrier, tiles, ordered=True)
+    return subdivide_tiling(MorseTiling(make_complex([tile.closure]),
+                                        tile.extension, (tile,), ordered=True))
 
 
 def _tile_template(size: int, witnesses: Simplex, removed: Simplex | None) -> \
@@ -543,7 +522,10 @@ def search_shelling(K: SimplicialComplex,
     The search keeps an explicit stack of attached simplices, so its depth
     is not bounded by the interpreter's recursion limit.  A candidate's new
     faces cannot lie under a covered face (that face's closed simplex was
-    attached whole), so only their sub-faces are checked.
+    attached whole), so only their facets are checked.  That suffices: the
+    covered faces form a subcomplex that already meets the filtration, so
+    on a chain down from a new face the first covered face, a facet of a
+    new face, lies in a tile no larger than any covered face below it.
     """
     if budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
@@ -567,8 +549,8 @@ def search_shelling(K: SimplicialComplex,
                 tile, ext = attach(ms[i], covered)
             except NotMorseTileError:
                 continue
-            if not any(_faces_under_lower_tiles(f, tile.dim, tile_dim)
-                       for f in ext):
+            d = tile.dim
+            if all(tile_dim.get(h, d) >= d for f in ext for h in facets_of(f)):
                 break
         else:  # no simplex extends this prefix: undo its last step
             if not stack:

@@ -504,6 +504,26 @@ def test_closure_off_the_complex_is_not_enumerated(tmp_path):
         " complex", "carrier face (0,) is not covered by any tile"]
 
 
+@pytest.mark.parametrize("command", ["betti", "verify-tiling"])
+def test_complex_over_the_face_cap_is_refused_before_reading(tmp_path, command):
+    # one simplex on 40 vertices has 2^40 - 1 faces; none may be built
+    big = {"maximal_simplices": [list(range(40))]}
+    path = tmp_path / "big.json"
+    if command == "betti":
+        path.write_text(json.dumps(big))
+        argv = ("betti", "--complex", str(path))
+    else:
+        path.write_text(json.dumps({"complex": big, "tiles": []}))
+        argv = ("verify-tiling", "--tiling", str(path))
+    start = time.perf_counter()
+    code, out, err = run_process(*argv, timeout=10)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert "exceeds the 10^7 cap" in json.loads(err)["error"]
+
+
 def test_verify_shelling_rejects_non_bool_ordered(tmp_path):
     data = shell_surface(boundary_sphere(3)).to_dict() | {"ordered": "no"}
     tpath = tmp_path / "shelling.json"
