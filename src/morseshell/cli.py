@@ -193,8 +193,8 @@ def _check_faces(maximal: Iterable) -> None:
 
 
 def _cmd_subdivide(args) -> tuple[int, dict]:
-    if not (args.tiling or args.complex):
-        raise CliError("subdivide needs --tiling or --complex")
+    if bool(args.tiling) == bool(args.complex):
+        raise CliError("subdivide needs exactly one of --tiling and --complex")
     if args.iterations < 0:
         raise CliError("--iterations must be non-negative")
     if args.iterations > 24:
@@ -223,6 +223,8 @@ def _cmd_subdivide(args) -> tuple[int, dict]:
 
 
 def _cmd_skeleton(args) -> tuple[int, dict]:
+    if bool(args.tiling) == bool(args.complex):
+        raise CliError("skeleton needs exactly one of --tiling and --complex")
     if args.n < 0:
         raise CliError("--n must be non-negative")
     if args.tiling:
@@ -232,12 +234,10 @@ def _cmd_skeleton(args) -> tuple[int, dict]:
         s = skeleton_tiling(t, args.n)
         _write_out(args.out, s.to_dict())
         return 0, _tiling_summary(s)
-    if args.complex:
-        K = _load_complex(args.complex)
-        s = skeleton(K, args.n)
-        _write_out(args.out, s.to_dict())
-        return 0, {"faces": len(s.faces), "f_vector": list(s.f_vector)}
-    raise CliError("skeleton needs --tiling or --complex")
+    K = _load_complex(args.complex)
+    s = skeleton(K, args.n)
+    _write_out(args.out, s.to_dict())
+    return 0, {"faces": len(s.faces), "f_vector": list(s.f_vector)}
 
 
 def _cmd_field(args) -> tuple[int, dict]:
@@ -379,6 +379,8 @@ def _cmd_handle(args) -> tuple[int, dict]:
 
 
 def _cmd_prism(args) -> tuple[int, dict]:
+    # n simplices of n + 1 vertices each
+    _check_cap(args.n * (args.n + 1), f"vertex-entry count of the {args.n}-prism")
     try:
         pr = prism_triangulation(args.n)
     except ValueError as exc:
@@ -395,6 +397,8 @@ def _cmd_prism(args) -> tuple[int, dict]:
 
 
 def _cmd_word_reduce(args) -> tuple[int, dict]:
+    m = len(args.word)  # its trace holds about m(m - 1) / 2 letters
+    _check_cap(m * (m - 1) // 2, f"letter count of a {m}-letter word's trace")
     try:
         w = word(args.word)
         steps = reduce_word(w)

@@ -44,30 +44,28 @@ def shell_surface(K: SimplicialComplex,
     for comp in connected_components(K):
         t = chosen_start if chosen_start in comp.maximal_simplices \
             else comp.maximal_simplices[0]
-        done: set[Simplex] = set()
-        # a heap of the edges of done triangles; an edge goes stale once
-        # both of its triangles are done, and is skipped when popped
+        # a heap of the edges of shelled triangles, which are the covered
+        # ones; an edge with both triangles covered is skipped when popped
         frontier: list[Simplex] = []
         while t is not None:
             tile, ext = attach(t, covered)
             tiles.append(tile)
             covered |= ext
-            done.add(t)
             for e in combinations(t, 2):
                 heapq.heappush(frontier, e)
             t = None
             while frontier and t is None:
                 e = heapq.heappop(frontier)
-                nxt = [x for x in up[e] if x not in done]
+                nxt = [x for x in up[e] if x not in covered]
                 if len(nxt) > 1:
                     raise RuntimeError(
                         f"frontier edge {e} has {len(nxt)} unshelled triangles;"
                         " the closed-surface invariant failed")
                 if nxt:
                     t = nxt[0]
-        if len(done) != len(comp.maximal_simplices):
-            raise RuntimeError("ran out of frontier edges before covering a"
-                               " component")
+    if len(tiles) != len(K.maximal_simplices):
+        raise RuntimeError("ran out of frontier edges before covering a"
+                           " component")
     return MorseTiling.over_complex(K, tiles, ordered=True)
 
 
@@ -131,9 +129,9 @@ def handle_tiling(n: int, variant: str) -> MorseTiling:
         carrier = frozenset(f for f in K.faces if not set(f) <= bottom)
 
     tiles: list[MorseTile] = []
-    covered: set[Simplex] = set()
+    covered = set(K.faces - carrier)  # faces off the carrier count as covered
     for sigma in prism.simplex_order:
-        tile, ext = attach(sigma, covered, carrier)
+        tile, ext = attach(sigma, covered)
         tiles.append(tile)
         covered |= ext
     return MorseTiling(K, carrier, tuple(tiles), ordered=True)

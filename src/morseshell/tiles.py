@@ -66,8 +66,8 @@ class MorseTile:
                  removed_face: Simplex | None) -> "MorseTile":
         """Trusted constructor, without the checks and normalisation of
         ``__post_init__``: the fields must already be those of a normalised
-        tile, as in a tile the library relabels by an order-preserving
-        vertex map."""
+        tile, as in a tile the library recognises from canonical faces or
+        relabels by an order-preserving vertex map."""
         tile = cls.__new__(cls)
         tile.__dict__.update(closure=closure, witnesses=witnesses,
                              removed_face=removed_face)
@@ -327,4 +327,6 @@ def _recognise(fs: set[Simplex]) -> MorseTile:
     if not fs <= whole or (missing and missing != interval(core, tau)):
         raise NotMorseTileError("faces are not a closed simplex minus closed"
                                 " facets and one closed face")
-    return MorseTile(closure, frozenset(core), tau)
+    # normal already: canonical closure and tau, W <= tau != closure, and tau
+    # is no facet (the vertex it misses would lie in every face, so in W)
+    return MorseTile._trusted(closure, frozenset(core), tau)

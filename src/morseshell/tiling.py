@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Container, Iterable, Mapping, Sequence
 
 from .complexes import (
     BarycentricSubdivision,
@@ -124,17 +124,13 @@ class Report:
         return self.valid
 
 
-def attach(sigma: Simplex, covered: set[Simplex],
-           carrier: frozenset[Simplex] | None = None) -> tuple[MorseTile, set[Simplex]]:
-    """The shelling step: the closed simplex sigma minus the covered faces,
-    restricted to the carrier when one is given.
+def attach(sigma: Simplex, covered: Container[Simplex]) -> tuple[MorseTile, set[Simplex]]:
+    """The shelling step: the closed simplex sigma minus the covered faces.
 
     Returns the normalized tile and its open faces; raises
     :class:`NotMorseTileError` when the difference is not a Morse tile.
     """
-    ext = set(faces_of(sigma)) - covered
-    if carrier is not None:
-        ext &= carrier
+    ext = {f for f in faces_of(sigma) if f not in covered}
     return _recognise(ext), ext  # faces_of gives canonical faces
 
 
@@ -531,22 +527,20 @@ def search_shelling(K: SimplicialComplex,
         raise ValueError(f"budget must be non-negative, got {budget}")
     ms = list(K.maximal_simplices)
     n = len(ms)
-    tile_dim: dict[Simplex, int] = {}
-    covered: set[Simplex] = set()
-    used = [False] * n
+    tile_dim: dict[Simplex, int] = {}  # the covered faces
     stack: list[tuple[int, MorseTile, set[Simplex]]] = []
     nodes = 0
     start = 0
     while len(stack) < n:
         for i in range(start, n):
-            if used[i]:
+            if ms[i] in tile_dim:  # only its own step covers it
                 continue
             nodes += 1
             if nodes > budget:
                 raise SearchBudgetExceeded(
                     f"gave up after {budget} search nodes")
             try:
-                tile, ext = attach(ms[i], covered)
+                tile, ext = attach(ms[i], tile_dim)
             except NotMorseTileError:
                 continue
             d = tile.dim
@@ -556,14 +550,10 @@ def search_shelling(K: SimplicialComplex,
             if not stack:
                 return None
             i, _, ext = stack.pop()
-            used[i] = False
-            covered -= ext
             for f in ext:
                 del tile_dim[f]
             start = i + 1
             continue
-        used[i] = True
-        covered |= ext
         for f in ext:
             tile_dim[f] = tile.dim
         stack.append((i, tile, ext))

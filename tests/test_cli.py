@@ -18,8 +18,14 @@ from morseshell.catalog import (
 )
 from morseshell.cli import main
 from morseshell.complexes import make_complex
-from morseshell.generators import handle_tiling, shell_surface
-from morseshell.tiles import standard_tile
+from morseshell.generators import (
+    handle_tiling,
+    prism_triangulation,
+    shell_surface,
+)
+from morseshell.tiles import MorseTile, standard_tile
+from morseshell.tiling import MorseTiling
+from morseshell.words import reduce_word, word
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -156,6 +162,42 @@ def test_subdivide_cap(tmp_path, capsys):
                        "--iterations", "12")
     assert code == 2
     assert "cap" in err
+
+
+@pytest.mark.parametrize("command", ["subdivide", "skeleton"])
+@pytest.mark.parametrize("inputs", ["both", "neither"])
+def test_subdivide_and_skeleton_need_exactly_one_input(tmp_path, capsys,
+                                                       command, inputs):
+    cpath = write_complex(tmp_path, boundary_sphere(3))
+    spath = str(tmp_path / "shelling.json")
+    run(capsys, "shell-surface", "--complex", cpath, "--out", spath)
+    flags = ["--tiling", spath, "--complex", cpath] if inputs == "both" else []
+    argv = [command, *flags] + (["--n", "1"] if command == "skeleton" else [])
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "exactly one of --tiling and --complex" in json.loads(err)["error"]
+
+
+def test_inequalities_exits_1_on_a_tiling_that_is_not_a_shelling(tmp_path,
+                                                                 capsys):
+    # the circle tiled by its three edges, each with one witness: the
+    # compatible field cycles, so nothing is certified
+    K = make_complex([(0, 1), (1, 2), (0, 2)])
+    t = MorseTiling.over_complex(K, [MorseTile((0, 1), frozenset({0})),
+                                     MorseTile((1, 2), frozenset({1})),
+                                     MorseTile((0, 2), frozenset({2}))])
+    cpath = write_complex(tmp_path, K)
+    tpath = tmp_path / "tiling.json"
+    tpath.write_text(json.dumps(t.to_dict()))
+    code, out, _ = run(capsys, "inequalities", "--complex", cpath,
+                       "--tiling", str(tpath))
+    assert code == 1
+    data = json.loads(out)
+    assert data["certified"] is False
+    assert data["betti_bounded"] is False
+    assert data["alternating_sums_ok"] is False
+    assert data["euler_equality"] is True
 
 
 def test_hcounts_and_pack(tmp_path, capsys):
@@ -428,9 +470,14 @@ def _refuse_to_build(*args):
                                   ["tile-info", "--n", "10000000000000",
                                    "--k", "0"],
                                   ["handle", "--n", "19"],
-                                  ["handle", "--n", "10000000000000"]])
+                                  ["handle", "--n", "10000000000000"],
+                                  ["prism", "--n", "3162"],
+                                  ["prism", "--n", "10000000000000"],
+                                  ["word-reduce", "ud" * 2236 + "u"],
+                                  ["word-reduce", "u" * 30000]])
 def test_face_count_cap_refuses_before_enumerating(monkeypatch, capsys, argv):
-    for name in ("standard_tile", "standard_morse_tile", "handle_tiling"):
+    for name in ("standard_tile", "standard_morse_tile", "handle_tiling",
+                 "prism_triangulation", "reduce_word"):
         monkeypatch.setattr(cli, name, _refuse_to_build)
     code, out, err = run(capsys, *argv)
     assert code == 2
@@ -440,12 +487,17 @@ def test_face_count_cap_refuses_before_enumerating(monkeypatch, capsys, argv):
 
 @pytest.mark.parametrize("argv,builder", [
     (["tile-info", "--n", "22", "--k", "0"], "standard_tile"),
-    (["handle", "--n", "18"], "handle_tiling")])
+    (["handle", "--n", "18"], "handle_tiling"),
+    (["prism", "--n", "3161"], "prism_triangulation"),
+    (["word-reduce", "ud" * 2236], "reduce_word")])
 def test_face_count_cap_admits_the_largest_n_below_it(monkeypatch, capsys,
                                                       argv, builder):
-    # 2^23 and 18 * 2^19 faces lie below 10^7; a small stand-in is built
+    # 2^23 faces, 18 * 2^19 faces, 3161 * 3162 vertex entries and
+    # 4472 * 4471 / 2 trace letters lie below 10^7; a small stand-in is built
     small = {"standard_tile": lambda n, k: standard_tile(2, 0),
-             "handle_tiling": lambda n, variant: handle_tiling(2, variant)}
+             "handle_tiling": lambda n, variant: handle_tiling(2, variant),
+             "prism_triangulation": lambda n: prism_triangulation(2),
+             "reduce_word": lambda w: reduce_word(word("ududdu"))}
     monkeypatch.setattr(cli, builder, small[builder])
     code, _, _ = run(capsys, *argv)
     assert code == 0

@@ -241,6 +241,37 @@ def test_morse_inequalities_requires_full_cover():
         morse_inequalities_report(t.ambient, partial)
 
 
+def circle_edge_tiling():
+    """The circle boundary of a triangle tiled by its three edges, each
+    with one witness: a valid tiling that is not a shelling."""
+    K = boundary_simplex(2)
+    tiles = [MorseTile((0, 1), frozenset({0})), MorseTile((1, 2), frozenset({1})),
+             MorseTile((0, 2), frozenset({2}))]
+    return MorseTiling.over_complex(K, tiles)
+
+
+def test_morse_inequalities_uncertified_on_a_cyclic_field():
+    t = circle_edge_tiling()
+    assert validate_tiling(t).valid
+    rep = morse_inequalities_report(t.ambient, t)
+    assert rep.betti == [1, 1]
+    assert rep.critical == [0, 0]
+    assert not rep.certified
+    assert not rep.betti_bounded
+    assert not rep.alternating_ok
+    assert rep.euler_equality
+    assert not rep.ok
+    assert ("inequalities not certified by this method: the compatible field"
+            " has a closed V-path") in rep.messages
+
+
+def test_morse_inequalities_rejects_an_invalid_tiling():
+    K = boundary_simplex(2)
+    t = MorseTiling.over_complex(K, [MorseTile((0, 1))])
+    with pytest.raises(ValueError, match="invalid tiling"):
+        morse_inequalities_report(K, t)
+
+
 def test_field_json_round_trip():
     t = sphere_partition(2)
     W = compatible_field(t)

@@ -121,5 +121,3 @@ def test_attach_of_a_covered_simplex_raises():
     sigma = (0, 1, 2)
     with pytest.raises(NotMorseTileError):
         attach(sigma, set(faces_of(sigma)))
-    with pytest.raises(NotMorseTileError):
-        attach(sigma, set(), carrier=frozenset({(5,)}))

@@ -226,6 +226,37 @@ def test_skeleton_tiling_of_shelled_solid_simplex():
         assert validate_shelling(s).valid
 
 
+def test_skeleton_tiling_keeps_a_lower_tile():
+    t = search_shelling(make_complex([(0, 1, 2), (2, 3)]))
+    kept = MorseTile((2, 3), frozenset({3}))
+    assert t.tiles[-1] == kept
+    s = skeleton_tiling(t, 1)
+    assert s.tiles[-1] == kept
+    assert validate_shelling(s).valid
+
+
+def test_validate_shelling_rejects_an_unordered_tiling():
+    t = MorseTiling.over_complex(full_simplex(2), [MorseTile((0, 1, 2))])
+    with pytest.raises(ValueError, match="not marked as ordered"):
+        validate_shelling(t)
+
+
+def test_validate_tiling_reports_an_empty_tile():
+    t = MorseTiling.over_complex(full_simplex(1),
+                                 [MorseTile((0, 1)), MorseTile(())])
+    rep = validate_tiling(t)
+    assert not rep.valid
+    assert "tile 1 is empty" in rep.errors
+
+
+def test_validate_tiling_reports_a_face_outside_the_carrier():
+    K = full_simplex(1)
+    t = MorseTiling(K, frozenset({(0,), (0, 1)}), (MorseTile((0, 1)),))
+    rep = validate_tiling(t)
+    assert not rep.valid
+    assert "face (1,) is covered but lies outside the carrier" in rep.errors
+
+
 def test_skeleton_tiling_chain_matches_direct():
     t = sphere_partition(3)
     via_two = skeleton_tiling(skeleton_tiling(t, 2), 1)
