@@ -192,6 +192,14 @@ def _check_faces(maximal: Iterable) -> None:
                    if isinstance(m, (list, tuple))), "face count of the complex")
 
 
+def _check_flags(K: SimplicialComplex, iterations: int) -> None:
+    """Refuse to subdivide K past the cap: a simplex on s vertices splits
+    into s! per round."""
+    _check_cap(sum(math.factorial(len(m)) ** iterations
+                   for m in K.maximal_simplices),
+               f"maximal simplex count after {iterations} subdivisions")
+
+
 def _cmd_subdivide(args) -> tuple[int, dict]:
     if bool(args.tiling) == bool(args.complex):
         raise CliError("subdivide needs exactly one of --tiling and --complex")
@@ -205,13 +213,10 @@ def _cmd_subdivide(args) -> tuple[int, dict]:
         t = _load_tiling(args.tiling)
         if bad := _tiling_errors(t):
             return 1, bad
-        sizes, noun = [tile.dim + 1 for tile in t.tiles], "tile"
+        K = t.ambient  # subdivided whole, whatever the carrier
     else:
         K = _load_complex(args.complex)
-        sizes, noun = [len(m) for m in K.maximal_simplices], "maximal simplex"
-    # a simplex on s vertices splits into s! per round
-    _check_cap(sum(math.factorial(s) ** args.iterations for s in sizes),
-               f"{noun} count after {args.iterations} subdivisions")
+    _check_flags(K, args.iterations)
     if args.tiling:
         out_tiling = subdivide_tiling(t, args.iterations)
         _write_out(args.out, out_tiling.to_dict())
@@ -339,6 +344,7 @@ def _cmd_pack(args) -> tuple[int, dict]:
     t = _load_tiling(args.tiling)
     if bad := _tiling_errors(t):
         return 1, bad
+    _check_flags(t.ambient, 1)
     sd = barycentric_subdivision(t.ambient)
     packed = pack_simplices(t, sd)
     used: set[int] = set()

@@ -306,8 +306,10 @@ class BarycentricSubdivision:
     face_vertex: Mapping[Simplex, int]
 
     def carrier_face(self, sd_face: Simplex) -> Simplex:
-        """The base face whose interior carries the given flag simplex."""
-        return max((self.vertex_face[i] for i in sd_face), key=len)
+        """The base face whose interior carries the given flag simplex: the
+        largest face of the flag, whose vertex has the largest id, since ids
+        number base faces by (size, vertices)."""
+        return self.vertex_face[max(sd_face)]
 
     def faces_over(self, base_faces: Iterable[Simplex]) -> frozenset[Simplex]:
         """All subdivision faces carried by the given set of open base faces."""

@@ -18,7 +18,7 @@ from .complexes import (
     simplex,
 )
 from .tiles import MorseTile
-from .tiling import MorseTiling, attach
+from .tiling import MorseTiling, _Covered, attach
 
 
 def shell_surface(K: SimplicialComplex,
@@ -129,9 +129,9 @@ def handle_tiling(n: int, variant: str) -> MorseTiling:
         carrier = frozenset(f for f in K.faces if not set(f) <= bottom)
 
     tiles: list[MorseTile] = []
-    covered = set(K.faces - carrier)  # faces off the carrier count as covered
+    covered = _Covered(carrier.__contains__)
     for sigma in prism.simplex_order:
         tile, ext = attach(sigma, covered)
         tiles.append(tile)
-        covered |= ext
+        covered.attached |= ext
     return MorseTiling(K, carrier, tuple(tiles), ordered=True)

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from typing import Container, Iterable, Mapping, Sequence
+from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
 
 from .complexes import (
     BarycentricSubdivision,
@@ -28,14 +28,7 @@ from .complexes import (
     simplex,
     skeleton,
 )
-from .tiles import (
-    MorseTile,
-    NotMorseTileError,
-    _recognise,
-    cone,
-    interval,
-    skeleton_partition,
-)
+from .tiles import MorseTile, NotMorseTileError, _recognise, skeleton_partition
 
 
 class NotShellableError(ValueError):
@@ -132,6 +125,18 @@ def attach(sigma: Simplex, covered: Container[Simplex]) -> tuple[MorseTile, set[
     """
     ext = {f for f in faces_of(sigma) if f not in covered}
     return _recognise(ext), ext  # faces_of gives canonical faces
+
+
+class _Covered:
+    """The covered faces of a shelling of a carrier: the attached faces and
+    every face off the carrier, which are tested rather than listed."""
+
+    def __init__(self, on_carrier: Callable[[Simplex], bool]):
+        self.attached: set[Simplex] = set()
+        self.on_carrier = on_carrier
+
+    def __contains__(self, f: Simplex) -> bool:
+        return f in self.attached or not self.on_carrier(f)
 
 
 def bounded_errors(errors: Sequence[str], total: int | None = None) -> list[str]:
@@ -360,62 +365,6 @@ def skeleton_tiling(t: MorseTiling, dim: int) -> MorseTiling:
 # -- barycentric subdivision -------------------------------------------------
 
 
-def _sd_basic_shelling(closure: Simplex, witnesses: frozenset[int],
-                       face_vertex: Mapping[Simplex, int],
-                       target: frozenset[int] = frozenset()) -> list[MorseTile]:
-    """Shelling of the subdivided basic tile on the given closure, in flag
-    coordinates mapped through ``face_vertex``.
-
-    The boundary partition (removed facets first) is subdivided recursively
-    and coned from the barycenter; only the globally first cone keeps its
-    apex, and cones over subdivided removed facets lose their bases.
-
-    ``target`` aligns the facet descent: its vertices are dropped last, so
-    the flags over the target face end up as bases of cone towers.  This is
-    what lets an extra removed face be subtracted tile by tile afterwards.
-    """
-    n = len(closure) - 1
-    if n == 0:
-        v = face_vertex[closure]
-        return [MorseTile((v,), frozenset((v,)) if witnesses else frozenset())]
-    k = len(witnesses)
-    rest = set(closure) - witnesses
-    order = (sorted(witnesses) + sorted(rest - target) + sorted(rest & target))
-    pieces: list[tuple[int, MorseTile]] = []
-    for j, w in enumerate(order):
-        sub_closure = tuple(x for x in closure if x != w)
-        sub_witnesses = frozenset(order[:j])
-        sub_target = target & set(sub_closure)
-        for u in _sd_basic_shelling(sub_closure, sub_witnesses, face_vertex,
-                                    sub_target):
-            pieces.append((j, u))
-    apex = face_vertex[closure]
-    out = []
-    for p, (j, u) in enumerate(pieces):
-        out.append(cone(u, apex, keep_apex=(p == 0), remove_base=(j < k)))
-    return out
-
-
-def _subdivided_tiles(tile: MorseTile,
-                      sd: BarycentricSubdivision) -> list[MorseTile]:
-    target = frozenset() if tile.removed_face is None else \
-        frozenset(tile.removed_face)
-    basic = _sd_basic_shelling(tile.closure, tile.witnesses, sd.face_vertex,
-                               target)
-    if tile.removed_face is None:
-        return basic
-    removed = interval(tile.witnesses, tile.removed_face)
-    out = []
-    for u in basic:
-        keep = {f for f in u.extension if sd.carrier_face(f) not in removed}
-        try:
-            out.append(u if len(keep) == len(u.extension) else _recognise(keep))
-        except NotMorseTileError as exc:  # pragma: no cover
-            raise RuntimeError("subdivision produced a piece that is not a"
-                               " Morse tile; this is a bug") from exc
-    return out
-
-
 def subdivide_tile(tile: MorseTile) -> MorseTiling:
     """Shell the first barycentric subdivision of a tile by (n+1)! tiles of
     the same dimension.
@@ -429,15 +378,47 @@ def subdivide_tile(tile: MorseTile) -> MorseTiling:
                                         tile.extension, (tile,), ordered=True))
 
 
+def _flags(face: Simplex, witnesses: Sequence[int],
+           removed: Simplex) -> Iterator[tuple[Simplex, ...]]:
+    """The flags of faces from face down to a vertex, in facet-descent
+    order: each level drops its witnesses first (sorted), then the vertices
+    outside the removed face, then those inside it, and the vertices
+    dropped before w at one level are the witnesses of the level below."""
+    if len(face) == 1:
+        yield (face,)
+        return
+    rest = [v for v in face if v not in witnesses]
+    order = sorted(witnesses) + [v for v in rest if v not in removed] \
+        + [v for v in rest if v in removed]
+    for j, w in enumerate(order):
+        for flag in _flags(tuple(v for v in face if v != w), order[:j],
+                           removed):
+            yield (face,) + flag
+
+
 def _tile_template(size: int, witnesses: Simplex, removed: Simplex | None) -> \
         tuple[tuple[Simplex, ...], list[MorseTile]]:
     """The subdivided tiles of the tile on the standard simplex 0..size-1
     with the given witness and removed-face positions, and the face of
-    positions that each vertex of the standard subdivision splits."""
+    positions that each vertex of the standard subdivision splits.
+
+    Each flag is attached in facet-descent order, with the subdivision
+    faces off the tile counted as covered."""
     std = tuple(range(size))
     sd = barycentric_subdivision(make_complex([std]))
-    return sd.vertex_face, _subdivided_tiles(MorseTile(std, frozenset(witnesses),
-                                                       removed), sd)
+    tile = MorseTile(std, frozenset(witnesses), removed)
+    if size == 1:  # attach would read an open point as the closed one
+        return sd.vertex_face, [tile]
+    ext = tile.extension
+    covered = _Covered(lambda f: sd.carrier_face(f) in ext)
+    pieces = []
+    for flag in _flags(std, witnesses, removed or ()):
+        # ids grow with face size, so the sorted flag runs bottom up
+        piece, new = attach(tuple(sd.face_vertex[f] for f in reversed(flag)),
+                            covered)
+        pieces.append(piece)
+        covered.attached |= new
+    return sd.vertex_face, pieces
 
 
 def subdivide_tiling(t: MorseTiling, iterations: int = 1) -> MorseTiling:

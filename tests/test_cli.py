@@ -466,6 +466,25 @@ def _refuse_to_build(*args):
     raise AssertionError("the cap check must come before any enumeration")
 
 
+class PointIn:
+    """Stands in an argument list for a tiling file: one closed point tiled
+    inside the simplex on n vertices, which is under the face cap."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def write(self, tmp_path):
+        K = make_complex([range(self.n)])
+        t = MorseTiling(K, {(0,)}, (MorseTile((0,)),), ordered=True)
+        path = tmp_path / f"point-in-{self.n}.json"
+        path.write_text(json.dumps(t.to_dict()))
+        return str(path)
+
+
+def with_files(tmp_path, argv):
+    return [a.write(tmp_path) if isinstance(a, PointIn) else a for a in argv]
+
+
 @pytest.mark.parametrize("argv", [["tile-info", "--n", "23", "--k", "0"],
                                   ["tile-info", "--n", "10000000000000",
                                    "--k", "0"],
@@ -474,12 +493,17 @@ def _refuse_to_build(*args):
                                   ["prism", "--n", "3162"],
                                   ["prism", "--n", "10000000000000"],
                                   ["word-reduce", "ud" * 2236 + "u"],
-                                  ["word-reduce", "u" * 30000]])
-def test_face_count_cap_refuses_before_enumerating(monkeypatch, capsys, argv):
+                                  ["word-reduce", "u" * 30000],
+                                  # 11! flags, though the tile is one point
+                                  ["pack", "--tiling", PointIn(11)],
+                                  ["subdivide", "--tiling", PointIn(11)]])
+def test_face_count_cap_refuses_before_enumerating(monkeypatch, capsys,
+                                                   tmp_path, argv):
     for name in ("standard_tile", "standard_morse_tile", "handle_tiling",
-                 "prism_triangulation", "reduce_word"):
+                 "prism_triangulation", "reduce_word",
+                 "barycentric_subdivision", "subdivide_tiling"):
         monkeypatch.setattr(cli, name, _refuse_to_build)
-    code, out, err = run(capsys, *argv)
+    code, out, err = run(capsys, *with_files(tmp_path, argv))
     assert code == 2
     assert out == ""
     assert "cap" in json.loads(err)["error"]
@@ -489,17 +513,20 @@ def test_face_count_cap_refuses_before_enumerating(monkeypatch, capsys, argv):
     (["tile-info", "--n", "22", "--k", "0"], "standard_tile"),
     (["handle", "--n", "18"], "handle_tiling"),
     (["prism", "--n", "3161"], "prism_triangulation"),
-    (["word-reduce", "ud" * 2236], "reduce_word")])
+    (["word-reduce", "ud" * 2236], "reduce_word"),
+    (["subdivide", "--tiling", PointIn(10)], "subdivide_tiling")])
 def test_face_count_cap_admits_the_largest_n_below_it(monkeypatch, capsys,
-                                                      argv, builder):
-    # 2^23 faces, 18 * 2^19 faces, 3161 * 3162 vertex entries and
-    # 4472 * 4471 / 2 trace letters lie below 10^7; a small stand-in is built
+                                                      tmp_path, argv, builder):
+    # 2^23 faces, 18 * 2^19 faces, 3161 * 3162 vertex entries,
+    # 4472 * 4471 / 2 trace letters and 10! flags lie below 10^7; a small
+    # stand-in is built
     small = {"standard_tile": lambda n, k: standard_tile(2, 0),
              "handle_tiling": lambda n, variant: handle_tiling(2, variant),
              "prism_triangulation": lambda n: prism_triangulation(2),
-             "reduce_word": lambda w: reduce_word(word("ududdu"))}
+             "reduce_word": lambda w: reduce_word(word("ududdu")),
+             "subdivide_tiling": lambda t, iterations: t}
     monkeypatch.setattr(cli, builder, small[builder])
-    code, _, _ = run(capsys, *argv)
+    code, _, _ = run(capsys, *with_files(tmp_path, argv))
     assert code == 0
 
 

@@ -3,24 +3,38 @@
 import math
 import random
 from itertools import combinations
+from typing import Mapping
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from morseshell.catalog import surface_corpus
-from morseshell.complexes import barycentric_subdivision, make_complex
+from morseshell.catalog import moebius_kantor_torus, surface_corpus
+from morseshell.complexes import (
+    BarycentricSubdivision,
+    Simplex,
+    barycentric_subdivision,
+    make_complex,
+)
 from morseshell.generators import HANDLE_VARIANTS, handle_tiling, shell_surface
 from morseshell.tiles import (
     MorseTile,
+    NotMorseTileError,
+    _recognise,
     boundary_partition,
+    cone,
     critical_tile,
+    interval,
     standard_morse_tile,
     standard_tile,
 )
 from morseshell.tiling import (
     MorseTiling,
+    SearchBudgetExceeded,
     critical_vector,
     h_table,
-    _subdivided_tiles,
+    search_shelling,
+    skeleton_tiling,
     subdivide_tile,
     subdivide_tiling,
     validate_shelling,
@@ -217,6 +231,62 @@ def test_subdivide_proper_carrier_trace():
 # -- per-shape templates against the per-tile construction -------------------
 
 
+def _sd_basic_shelling(closure: Simplex, witnesses: frozenset[int],
+                       face_vertex: Mapping[Simplex, int],
+                       target: frozenset[int] = frozenset()) -> list[MorseTile]:
+    """Shelling of the subdivided basic tile on the given closure, in flag
+    coordinates mapped through ``face_vertex``.
+
+    The boundary partition (removed facets first) is subdivided recursively
+    and coned from the barycenter; only the globally first cone keeps its
+    apex, and cones over subdivided removed facets lose their bases.
+
+    ``target`` aligns the facet descent: its vertices are dropped last, so
+    the flags over the target face end up as bases of cone towers.  This is
+    what lets an extra removed face be subtracted tile by tile afterwards.
+    """
+    n = len(closure) - 1
+    if n == 0:
+        v = face_vertex[closure]
+        return [MorseTile((v,), frozenset((v,)) if witnesses else frozenset())]
+    k = len(witnesses)
+    rest = set(closure) - witnesses
+    order = (sorted(witnesses) + sorted(rest - target) + sorted(rest & target))
+    pieces: list[tuple[int, MorseTile]] = []
+    for j, w in enumerate(order):
+        sub_closure = tuple(x for x in closure if x != w)
+        sub_witnesses = frozenset(order[:j])
+        sub_target = target & set(sub_closure)
+        for u in _sd_basic_shelling(sub_closure, sub_witnesses, face_vertex,
+                                    sub_target):
+            pieces.append((j, u))
+    apex = face_vertex[closure]
+    out = []
+    for p, (j, u) in enumerate(pieces):
+        out.append(cone(u, apex, keep_apex=(p == 0), remove_base=(j < k)))
+    return out
+
+
+def _subdivided_tiles(tile: MorseTile,
+                      sd: BarycentricSubdivision) -> list[MorseTile]:
+    target = frozenset() if tile.removed_face is None else \
+        frozenset(tile.removed_face)
+    basic = _sd_basic_shelling(tile.closure, tile.witnesses, sd.face_vertex,
+                               target)
+    if tile.removed_face is None:
+        return basic
+    removed = interval(tile.witnesses, tile.removed_face)
+    out = []
+    for u in basic:
+        keep = {f for f in u.extension if sd.carrier_face(f) not in removed}
+        try:
+            out.append(u if len(keep) == len(u.extension) else _recognise(keep))
+        except NotMorseTileError as exc:  # pragma: no cover
+            raise RuntimeError("subdivision produced a piece that is not a"
+                               " Morse tile; this is a bug") from exc
+    return out
+
+
 def per_tile_subdivide_tiling(t, iterations=1):
     """Oracle: subdivide every tile through the recursive cone construction
     on its own labels, with no shared templates."""
@@ -244,6 +314,19 @@ def test_templates_match_per_tile_on_catalog_surfaces(name, K):
     t = shell_surface(K)
     for d in (1, 2, 3):
         assert_same_subdivision(t, d)
+    # the skeletons add point and edge tiles, open points among them
+    for j in (0, 1):
+        assert_same_subdivision(skeleton_tiling(t, j), 1)
+
+
+def test_open_points_stay_open_after_subdivision():
+    # attaching an open point would give back the closed point
+    t = skeleton_tiling(shell_surface(moebius_kantor_torus()), 0)
+    assert len(t.tiles) == 7
+    assert sum(x.order == 1 for x in t.tiles) == 6
+    s = subdivide_tiling(t, 1)
+    assert s.tiles == t.tiles  # vertex i of the torus is vertex i after it
+    assert validate_shelling(s).valid
 
 
 def test_templates_match_per_tile_on_handles():
@@ -257,10 +340,10 @@ def test_templates_match_per_tile_on_handles():
 
 
 def test_templates_match_per_tile_on_relabelled_tiles():
-    # every tile shape up to dimension 3, on scattered vertex labels inside
+    # every tile shape up to dimension 4, on scattered vertex labels inside
     # a larger complex, so positions and labels differ
     rng = random.Random(6)
-    for n in range(1, 4):
+    for n in range(0, 5):
         for tile in all_tiles(n):
             for _ in range(3):
                 labels = sorted(rng.sample(range(12), n + 1))
@@ -298,3 +381,26 @@ def test_templates_match_per_tile_on_mixed_shapes():
     assert any(x.removed_face is not None and not x.is_critical for x in tiles)
     for d in (1, 2):
         assert_same_subdivision(t, d)
+
+
+# mixed-dimensional complexes on up to 7 vertices, up to 8 simplices of
+# dimension at most 3
+small_complexes = st.integers(3, 7).flatmap(lambda n: st.lists(
+    st.sets(st.integers(0, n - 1), min_size=1, max_size=4),
+    min_size=1, max_size=8)).map(make_complex)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_complexes)
+def test_subdivided_search_shellings_stay_shellings(K):
+    try:
+        t = search_shelling(K, budget=300)
+    except SearchBudgetExceeded:
+        return
+    if t is None:
+        return
+    s = subdivide_tiling(t, 1)
+    assert validate_shelling(s).valid
+    assert critical_vector(s).counts == critical_vector(t).counts
+    assert len(s.tiles) == sum(math.factorial(x.dim + 1) for x in t.tiles)
+    assert s.to_dict() == per_tile_subdivide_tiling(t, 1).to_dict()
