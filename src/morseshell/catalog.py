@@ -8,10 +8,6 @@ from itertools import combinations
 from .complexes import SimplicialComplex, barycentric_subdivision, make_complex
 
 
-def simplex_complex(n: int) -> SimplicialComplex:
-    return make_complex([range(n + 1)], name=f"simplex-{n}")
-
-
 def boundary_sphere(n: int) -> SimplicialComplex:
     """Boundary of the n-simplex: the minimal (n-1)-sphere."""
     return make_complex(combinations(range(n + 1), n), name=f"boundary-sphere-{n - 1}")

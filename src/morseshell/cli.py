@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from collections import Counter
 from typing import Any, Iterable
 
 from .complexes import (
@@ -66,6 +67,10 @@ def _load_json(path: str) -> Any:
     except json.JSONDecodeError as exc:
         raise CliError(f"malformed JSON in {path} at byte {exc.pos}:"
                        f" {exc.msg}") from exc
+    except (RecursionError, ValueError) as exc:
+        # nesting past the interpreter's recursion limit, or an integer past
+        # its digit limit
+        raise CliError(f"cannot decode {path}: {exc}") from exc
 
 
 def _load_complex(path: str) -> SimplicialComplex:
@@ -345,19 +350,12 @@ def _cmd_pack(args) -> tuple[int, dict]:
     if bad := _tiling_errors(t):
         return 1, bad
     _check_flags(t.ambient, 1)
+    packed = pack_simplices(t)
     sd = barycentric_subdivision(t.ambient)
-    packed = pack_simplices(t, sd)
-    used: set[int] = set()
-    disjoint = True
-    for s in packed:
-        if used & set(s):
-            disjoint = False
-        used.update(s)
+    disjoint = len(set().union(*packed)) == sum(len(s) for s in packed)
     tab = h_table(t)
-    per_dim: dict[int, int] = {}
-    for s in packed:
-        per_dim[len(s) - 1] = per_dim.get(len(s) - 1, 0) + 1
-    bound_ok = all(per_dim.get(j, 0) >= tab.basic.get((j, 0), 0)
+    per_dim = Counter(len(s) - 1 for s in packed)
+    bound_ok = all(per_dim[j] >= tab.basic.get((j, 0), 0)
                    + tab.basic.get((j, 1), 0)
                    for j in range(t.dim + 1))
     payload = {"subdivision": sd.complex.to_dict(),

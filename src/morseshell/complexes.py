@@ -125,13 +125,7 @@ class SimplicialComplex:
 
     @cached_property
     def f_vector(self) -> tuple[int, ...]:
-        counts = [0] * (self.dim + 1)
-        for f in self.faces:
-            counts[len(f) - 1] += 1
-        return tuple(counts)
-
-    def has_face(self, s: Iterable[int]) -> bool:
-        return simplex(s) in self.faces
+        return tuple(len(g) for g in self.faces_by_dim)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SimplicialComplex):
@@ -297,13 +291,20 @@ class BarycentricSubdivision:
 
     Vertices of the subdivision are fresh dense ids; ``vertex_face[i]`` is
     the face of the base complex whose barycenter the new vertex i labels.
-    Simplices of the subdivision are flags of base faces.
+    Simplices of the subdivision are flags of base faces; they are built
+    the first time ``complex`` is read.
     """
 
     base: SimplicialComplex
-    complex: SimplicialComplex
     vertex_face: tuple[Simplex, ...]
     face_vertex: Mapping[Simplex, int]
+
+    @cached_property
+    def complex(self) -> SimplicialComplex:
+        # the maximal flags are distinct and none contains another
+        K = self.base
+        return SimplicialComplex._trusted(_maximal_flags(K, self.face_vertex),
+                                          name=f"sd({K.name})" if K.name else "")
 
     def carrier_face(self, sd_face: Simplex) -> Simplex:
         """The base face whose interior carries the given flag simplex: the
@@ -336,11 +337,6 @@ def _maximal_flags(K: SimplicialComplex, face_vertex: Mapping[Simplex, int]) -> 
 
 def barycentric_subdivision(K: SimplicialComplex) -> BarycentricSubdivision:
     """Subdivide, labelling each fresh vertex by the base face it splits."""
-    ordered = sorted(K.faces, key=lambda f: (len(f), f))
-    face_vertex = {f: i for i, f in enumerate(ordered)}
-    # the maximal flags are distinct and none contains another
-    sd = SimplicialComplex._trusted(_maximal_flags(K, face_vertex),
-                                    name=f"sd({K.name})" if K.name else "")
-    return BarycentricSubdivision(base=K, complex=sd,
-                                  vertex_face=tuple(ordered),
-                                  face_vertex=face_vertex)
+    ordered = tuple(f for g in K.faces_by_dim for f in g)
+    return BarycentricSubdivision(base=K, vertex_face=ordered,
+                                  face_vertex={f: i for i, f in enumerate(ordered)})

@@ -407,14 +407,15 @@ def morse_inequalities_report(K: SimplicialComplex,
     n = len(betti) - 1
     bounded = all(betti[k] <= critical[k] for k in range(n + 1))
     alternating = True
+    lhs = rhs = 0  # the sums over the empty complex
     for k in range(n + 1):
         lhs = sum((-1) ** (k - i) * betti[i] for i in range(k + 1))
         rhs = sum((-1) ** (k - i) * critical[i] for i in range(k + 1))
         if lhs > rhs:
             alternating = False
-        if k == n and lhs != rhs:
-            messages.append(f"top alternating sums differ: {lhs} vs {rhs}")
-    euler_eq = (sum((-1) ** i * b for i, b in enumerate(betti))
-                == sum((-1) ** i * c for i, c in enumerate(critical)))
+    # at k = n the sums are (-1)^n times the two Euler characteristics
+    euler_eq = lhs == rhs
+    if not euler_eq:
+        messages.append(f"top alternating sums differ: {lhs} vs {rhs}")
     return InequalitiesReport(certified, betti, critical, bounded,
                               alternating, euler_eq, messages)

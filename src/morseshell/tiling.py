@@ -17,7 +17,6 @@ from itertools import combinations
 from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
 
 from .complexes import (
-    BarycentricSubdivision,
     SimplicialComplex,
     Simplex,
     barycentric_subdivision,
@@ -297,11 +296,6 @@ class HTable:
     vertex_count: int
 
     @property
-    def tile_count(self) -> int:
-        return (sum(self.basic.values()) + sum(self.regular.values())
-                + sum(self.critical_nonbasic.values()))
-
-    @property
     def order_one_total(self) -> int:
         return sum(c for (j, k), c in self.basic.items() if k == 1)
 
@@ -465,12 +459,11 @@ def subdivide_tiling(t: MorseTiling, iterations: int = 1) -> MorseTiling:
 # -- packing ------------------------------------------------------------------
 
 
-def pack_simplices(t: MorseTiling,
-                   subdivision: BarycentricSubdivision | None = None) -> list[Simplex]:
+def pack_simplices(t: MorseTiling) -> list[Simplex]:
     """Vertex-disjoint closed simplices in the subdivided carrier: one
     j-simplex per basic tile of order 0 or 1 and dimension j, chosen as a
     flag through a vertex of the tile."""
-    sd = subdivision or barycentric_subdivision(t.ambient)
+    fv = barycentric_subdivision(t.ambient).face_vertex
     out: list[Simplex] = []
     for tile in t.tiles:
         if not tile.is_basic or tile.order > 1:
@@ -479,7 +472,7 @@ def pack_simplices(t: MorseTiling,
         chain = [(v,)]
         for x in sorted(set(tile.closure) - {v}):
             chain.append(tuple(sorted(chain[-1] + (x,))))
-        out.append(tuple(sorted(sd.face_vertex[f] for f in chain)))
+        out.append(tuple(sorted(fv[f] for f in chain)))
     return out
 
 

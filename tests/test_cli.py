@@ -1,5 +1,6 @@
 """CLI behaviour: subcommands, formats, exit codes, closed loops."""
 
+import functools
 import json
 import os
 import re
@@ -9,6 +10,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from morseshell import cli
 from morseshell.catalog import (
@@ -23,8 +26,9 @@ from morseshell.generators import (
     prism_triangulation,
     shell_surface,
 )
+from morseshell.morse import compatible_field
 from morseshell.tiles import MorseTile, standard_tile
-from morseshell.tiling import MorseTiling
+from morseshell.tiling import MorseTiling, SearchBudgetExceeded, search_shelling
 from morseshell.words import reduce_word, word
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -332,6 +336,23 @@ def test_non_utf8_input_exits_2_without_traceback(tmp_path, command, flag):
     assert "UTF-8" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("command,flag", [("betti", "--complex"),
+                                          ("verify-tiling", "--tiling")])
+@pytest.mark.parametrize("text", [
+    "[" * 100_000 + "]" * 100_000,
+    '{"maximal_simplices": [[0, ' + "9" * 5000 + "]]}"],
+    ids=["deep-nesting", "long-integer"])
+def test_json_past_the_decoders_limits_exits_2_without_traceback(
+        tmp_path, command, flag, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    code, out, err = run_process(command, flag, str(path))
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert "cannot decode" in json.loads(err)["error"]
+
+
 @pytest.mark.parametrize("command", ["hcounts", "pack"])
 def test_tiling_commands_reject_invalid_tiling(tmp_path, command):
     # the only tile's closure (0, 1, 5) is not a simplex of the complex
@@ -612,3 +633,106 @@ def test_verify_shelling_rejects_non_bool_ordered(tmp_path):
     assert out == ""
     assert "Traceback" not in err
     assert "bad tiling file" in json.loads(err)["error"]
+
+
+# -- fuzz: small JSON values, mostly in the shape of the file formats --------
+
+_leaves = st.one_of(st.none(), st.booleans(), st.integers(-2, 6), st.floats(),
+                    st.text(max_size=3))
+_FORMAT_KEYS = ["name", "maximal_simplices", "complex", "carrier", "ordered",
+                "tiles", "closure", "removed_witnesses", "removed_face"]
+_values = st.recursive(
+    _leaves,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(_FORMAT_KEYS) | st.text(max_size=3), inner,
+        max_size=4),
+    max_leaves=12)
+_simplices = st.lists(st.integers(0, 5), min_size=1, max_size=4, unique=True)
+
+
+def _shelling(maximal):
+    """A shelling of the complex as a tiling file's value, or None."""
+    try:
+        t = search_shelling(make_complex(maximal), budget=50)
+    except (TypeError, ValueError, SearchBudgetExceeded):
+        return None
+    return None if t is None else t.to_dict()
+
+
+def _replaced(data, key, value, tile):
+    """data with one key, of the tiling or of one of its tiles, replaced."""
+    if not isinstance(data, dict):
+        return value
+    data = json.loads(json.dumps(data))
+    if tile is not None and data["tiles"]:
+        data["tiles"][tile % len(data["tiles"])][key] = value
+    else:
+        data[key] = value
+    return data
+
+
+@st.composite
+def _cli_inputs(draw):
+    maximal = draw(st.lists(_simplices | _values, min_size=1, max_size=5))
+    shelled = _shelling(maximal)
+    complex_ = draw(st.one_of(
+        st.just({"maximal_simplices": maximal}),
+        st.sampled_from([boundary_sphere(3).to_dict(),
+                         untileable_wheel().to_dict()]),
+        _values))
+    tiling = draw(st.one_of(
+        st.just(shelled),
+        st.builds(_replaced, st.just(shelled), st.sampled_from(_FORMAT_KEYS),
+                  _values, st.none() | st.integers(0, 4)),
+        st.fixed_dictionaries(
+            {"complex": st.just(complex_), "tiles": st.lists(
+                st.fixed_dictionaries({"closure": _simplices},
+                                      optional={"removed_witnesses": _simplices,
+                                                "removed_face": _simplices}),
+                max_size=5)},
+            optional={"carrier": st.just("all") | st.lists(_simplices),
+                      "ordered": st.booleans()}),
+        _values))
+    field = None
+    if shelled is not None:
+        field = compatible_field(MorseTiling.from_dict(shelled)).to_list()
+    field = draw(st.one_of(
+        st.just(field),
+        st.lists(st.tuples(_simplices, _simplices) | _values, max_size=4),
+        _values))
+    return complex_, tiling, field
+
+
+_FUZZ_COMMANDS = [
+    ["betti", "--complex", "{complex}"],
+    ["verify-tiling", "--tiling", "{tiling}"],
+    ["verify-shelling", "--tiling", "{tiling}"],
+    ["field", "--tiling", "{tiling}"],
+    ["morse-function", "--tiling", "{tiling}"],
+    ["hcounts", "--tiling", "{tiling}"],
+    ["pack", "--tiling", "{tiling}"],
+    ["subdivide", "--tiling", "{tiling}"],
+    ["skeleton", "--n", "1", "--tiling", "{tiling}"],
+    ["shell-surface", "--complex", "{complex}"],
+    ["search-shelling", "--budget", "50", "--complex", "{complex}"],
+    ["vpath-check", "--field", "{field}"],
+    ["vpath-check", "--field", "{field}", "--tiling", "{tiling}"],
+    ["inequalities", "--complex", "{complex}", "--tiling", "{tiling}"],
+]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_cli_inputs())
+def test_malformed_json_keeps_the_exit_contract(tmp_path, capsys, monkeypatch,
+                                                inputs):
+    # every call builds the same parser; build it once
+    monkeypatch.setattr(cli, "_build_parser", functools.cache(cli._build_parser))
+    paths = {}
+    for name, value in zip(["complex", "tiling", "field"], inputs):
+        paths[name] = str(tmp_path / f"{name}.json")
+        Path(paths[name]).write_text(json.dumps(value))
+    for argv in _FUZZ_COMMANDS:
+        code = main([arg.format(**paths) for arg in argv])
+        capsys.readouterr()
+        assert code in (0, 1, 2), argv

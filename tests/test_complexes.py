@@ -165,6 +165,15 @@ def test_subdivision_preserves_euler_characteristic():
         assert euler_characteristic(sd.complex.faces) == euler_characteristic(K.faces)
 
 
+def test_subdivision_of_empty_complex_fails_when_its_flags_are_read():
+    # the link of an isolated vertex is empty: it numbers no faces and its
+    # subdivision has no maximal flags
+    sd = barycentric_subdivision(link(make_complex([[0, 1], [2]]), 2))
+    assert sd.vertex_face == () and sd.face_vertex == {}
+    with pytest.raises(ValueError, match="empty complex"):
+        sd.complex
+
+
 def test_link_in_boundary_tetrahedron_is_cycle():
     K = boundary_simplex(3)
     L = link(K, 0)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from morseshell import tiling
 from morseshell.catalog import surface_corpus
-from morseshell.complexes import make_complex
+from morseshell.complexes import link, make_complex
 from morseshell.generators import HANDLE_VARIANTS, handle_tiling, shell_surface
 from morseshell.tiles import (
     MorseTile,
@@ -263,6 +263,14 @@ def test_morse_inequalities_uncertified_on_a_cyclic_field():
     assert not rep.ok
     assert ("inequalities not certified by this method: the compatible field"
             " has a closed V-path") in rep.messages
+
+
+def test_morse_inequalities_on_the_empty_complex():
+    # the link of an isolated vertex, tiled by no tiles
+    K = link(make_complex([[0, 1], [2]]), 2)
+    rep = morse_inequalities_report(K, MorseTiling.over_complex(K, []))
+    assert rep.betti == [] and rep.critical == [0]
+    assert rep.ok and rep.messages == []
 
 
 def test_morse_inequalities_rejects_an_invalid_tiling():

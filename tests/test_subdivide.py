@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from morseshell import complexes, tiling
 from morseshell.catalog import moebius_kantor_torus, surface_corpus
 from morseshell.complexes import (
     BarycentricSubdivision,
@@ -33,6 +34,7 @@ from morseshell.tiling import (
     SearchBudgetExceeded,
     critical_vector,
     h_table,
+    pack_simplices,
     search_shelling,
     skeleton_tiling,
     subdivide_tile,
@@ -381,6 +383,23 @@ def test_templates_match_per_tile_on_mixed_shapes():
     assert any(x.removed_face is not None and not x.is_critical for x in tiles)
     for d in (1, 2):
         assert_same_subdivision(t, d)
+
+
+def test_face_numbering_readers_build_no_flags(monkeypatch):
+    t = subdivide_tiling(shell_surface(moebius_kantor_torus()), 1)
+    packed = pack_simplices(t)
+
+    def refuse(*args):
+        raise AssertionError("maximal flags built")
+
+    monkeypatch.setattr(complexes, "_maximal_flags", refuse)
+    sd = barycentric_subdivision(t.ambient)
+    assert sd.vertex_face == tuple(sorted(t.ambient.faces,
+                                          key=lambda f: (len(f), f)))
+    assert pack_simplices(t) == packed
+    subs, pieces = tiling._tile_template(6, (), None)
+    assert len(subs) == 2 ** 6 - 1
+    assert len(pieces) == math.factorial(6)
 
 
 # mixed-dimensional complexes on up to 7 vertices, up to 8 simplices of
