@@ -13,40 +13,12 @@ import json
 import math
 import sys
 from collections import Counter
-from typing import Any, Iterable
+from typing import TYPE_CHECKING, Any, Iterable
 
-from .complexes import (
-    SimplicialComplex,
-    barycentric_subdivision,
-    betti_numbers_mod2,
-    euler_characteristic,
-    skeleton,
-)
-from .generators import HANDLE_VARIANTS, handle_tiling, prism_triangulation, shell_surface
-from .morse import (
-    CyclicFieldError,
-    DiscreteVectorField,
-    compatible_field,
-    find_closed_vpath,
-    morse_function,
-    morse_inequalities_report,
-    validate_field,
-    validate_morse_function,
-)
-from .tiles import standard_morse_tile, standard_tile
-from .tiling import (
-    MorseTiling,
-    SearchBudgetExceeded,
-    critical_vector,
-    h_table,
-    pack_simplices,
-    search_shelling,
-    skeleton_tiling,
-    subdivide_tiling,
-    validate_shelling,
-    validate_tiling,
-)
-from .words import reduce_word, word
+from .complexes import SimplicialComplex
+
+if TYPE_CHECKING:
+    from .tiling import MorseTiling
 
 
 class CliError(Exception):
@@ -84,6 +56,7 @@ def _load_complex(path: str) -> SimplicialComplex:
 
 
 def _load_tiling(path: str) -> MorseTiling:
+    from .tiling import MorseTiling
     data = _load_json(path)
     try:
         # the complex's faces are built as it is read, so check them first
@@ -120,11 +93,13 @@ def _emit(report: dict, fmt: str) -> None:
 
 def _tiling_errors(t: MorseTiling) -> dict | None:
     """The invalid-tiling report, or None when the tiling is valid."""
+    from .tiling import validate_tiling
     rep = validate_tiling(t)
     return None if rep.valid else {"valid": False, "errors": rep.errors}
 
 
 def _tiling_summary(t: MorseTiling) -> dict:
+    from .tiling import critical_vector
     cv = critical_vector(t)
     return {"tiles": len(t.tiles),
             "carrier_faces": len(t.carrier),
@@ -134,8 +109,12 @@ def _tiling_summary(t: MorseTiling) -> dict:
 
 # -- subcommand handlers -----------------------------------------------------
 
+# Each handler imports the modules it calls, so that a process loads only
+# what its subcommand runs.
+
 
 def _cmd_verify_tiling(args) -> tuple[int, dict]:
+    from .tiling import validate_tiling
     t = _load_tiling(args.tiling)
     rep = validate_tiling(t)
     out = {"valid": rep.valid, "errors": rep.errors} | _tiling_summary(t)
@@ -143,6 +122,7 @@ def _cmd_verify_tiling(args) -> tuple[int, dict]:
 
 
 def _cmd_verify_shelling(args) -> tuple[int, dict]:
+    from .tiling import validate_shelling
     t = _load_tiling(args.tiling)
     if not t.ordered:
         raise CliError("tiling file is not marked as ordered", code=1)
@@ -152,6 +132,7 @@ def _cmd_verify_shelling(args) -> tuple[int, dict]:
 
 
 def _cmd_shell_surface(args) -> tuple[int, dict]:
+    from .generators import shell_surface
     K = _load_complex(args.complex)
     start = None
     if args.start:
@@ -169,6 +150,7 @@ def _cmd_shell_surface(args) -> tuple[int, dict]:
 
 
 def _cmd_search_shelling(args) -> tuple[int, dict]:
+    from .tiling import SearchBudgetExceeded, search_shelling
     if args.budget < 0:
         raise CliError("--budget must be non-negative")
     K = _load_complex(args.complex)
@@ -206,6 +188,7 @@ def _check_flags(K: SimplicialComplex, iterations: int) -> None:
 
 
 def _cmd_subdivide(args) -> tuple[int, dict]:
+    from .complexes import barycentric_subdivision
     if bool(args.tiling) == bool(args.complex):
         raise CliError("subdivide needs exactly one of --tiling and --complex")
     if args.iterations < 0:
@@ -223,6 +206,7 @@ def _cmd_subdivide(args) -> tuple[int, dict]:
         K = _load_complex(args.complex)
     _check_flags(K, args.iterations)
     if args.tiling:
+        from .tiling import subdivide_tiling
         out_tiling = subdivide_tiling(t, args.iterations)
         _write_out(args.out, out_tiling.to_dict())
         return 0, _tiling_summary(out_tiling)
@@ -233,6 +217,7 @@ def _cmd_subdivide(args) -> tuple[int, dict]:
 
 
 def _cmd_skeleton(args) -> tuple[int, dict]:
+    from .complexes import skeleton
     if bool(args.tiling) == bool(args.complex):
         raise CliError("skeleton needs exactly one of --tiling and --complex")
     if args.n < 0:
@@ -241,6 +226,7 @@ def _cmd_skeleton(args) -> tuple[int, dict]:
         t = _load_tiling(args.tiling)
         if bad := _tiling_errors(t):
             return 1, bad
+        from .tiling import skeleton_tiling
         s = skeleton_tiling(t, args.n)
         _write_out(args.out, s.to_dict())
         return 0, _tiling_summary(s)
@@ -251,6 +237,7 @@ def _cmd_skeleton(args) -> tuple[int, dict]:
 
 
 def _cmd_field(args) -> tuple[int, dict]:
+    from .morse import compatible_field, validate_field
     t = _load_tiling(args.tiling)
     if bad := _tiling_errors(t):
         return 1, bad
@@ -266,6 +253,7 @@ def _cmd_field(args) -> tuple[int, dict]:
 
 
 def _cmd_vpath_check(args) -> tuple[int, dict]:
+    from .morse import DiscreteVectorField, find_closed_vpath, validate_field
     pairs = _load_json(args.field)
     domain = None
     if args.tiling:
@@ -285,6 +273,8 @@ def _cmd_vpath_check(args) -> tuple[int, dict]:
 
 
 def _cmd_morse_function(args) -> tuple[int, dict]:
+    from .morse import (CyclicFieldError, compatible_field, morse_function,
+                        validate_morse_function)
     t = _load_tiling(args.tiling)
     if bad := _tiling_errors(t):
         return 1, bad
@@ -305,6 +295,7 @@ def _cmd_morse_function(args) -> tuple[int, dict]:
 
 
 def _cmd_betti(args) -> tuple[int, dict]:
+    from .complexes import betti_numbers_mod2, euler_characteristic
     K = _load_complex(args.complex)
     b = betti_numbers_mod2(K)
     return 0, {"betti_mod2": b,
@@ -313,6 +304,7 @@ def _cmd_betti(args) -> tuple[int, dict]:
 
 
 def _cmd_inequalities(args) -> tuple[int, dict]:
+    from .morse import morse_inequalities_report
     K = _load_complex(args.complex)
     t = _load_tiling(args.tiling)
     try:
@@ -330,6 +322,7 @@ def _cmd_inequalities(args) -> tuple[int, dict]:
 
 
 def _cmd_hcounts(args) -> tuple[int, dict]:
+    from .tiling import critical_vector, h_table
     t = _load_tiling(args.tiling)
     if bad := _tiling_errors(t):
         return 1, bad
@@ -346,6 +339,8 @@ def _cmd_hcounts(args) -> tuple[int, dict]:
 
 
 def _cmd_pack(args) -> tuple[int, dict]:
+    from .complexes import barycentric_subdivision
+    from .tiling import h_table, pack_simplices
     t = _load_tiling(args.tiling)
     if bad := _tiling_errors(t):
         return 1, bad
@@ -371,6 +366,7 @@ def _cmd_pack(args) -> tuple[int, dict]:
 
 
 def _cmd_handle(args) -> tuple[int, dict]:
+    from .generators import handle_tiling
     # n simplices of 2^(n+1) faces each; past 2^64 the cap is passed anyway
     _check_cap(args.n * 2 ** min(args.n + 1, 64),
                f"face count of the {args.n}-dimensional prism")
@@ -383,6 +379,7 @@ def _cmd_handle(args) -> tuple[int, dict]:
 
 
 def _cmd_prism(args) -> tuple[int, dict]:
+    from .generators import prism_triangulation
     # n simplices of n + 1 vertices each
     _check_cap(args.n * (args.n + 1), f"vertex-entry count of the {args.n}-prism")
     try:
@@ -401,6 +398,7 @@ def _cmd_prism(args) -> tuple[int, dict]:
 
 
 def _cmd_word_reduce(args) -> tuple[int, dict]:
+    from .words import reduce_word, word
     m = len(args.word)  # its trace holds about m(m - 1) / 2 letters
     _check_cap(m * (m - 1) // 2, f"letter count of a {m}-letter word's trace")
     try:
@@ -418,6 +416,8 @@ def _cmd_word_reduce(args) -> tuple[int, dict]:
 
 
 def _cmd_tile_info(args) -> tuple[int, dict]:
+    from .complexes import euler_characteristic
+    from .tiles import standard_morse_tile, standard_tile
     _check_cap(2 ** min(args.n + 1, 64), f"face count of a {args.n}-simplex")
     try:
         if args.l is None:
@@ -448,7 +448,8 @@ _FLAGS: dict[str, dict] = {
     "--n": {"type": int},
     "--k": {"type": int},
     "--l": {"type": int},
-    "--variant": {"choices": HANDLE_VARIANTS, "default": "one-handle"},
+    # choices: generators.HANDLE_VARIANTS, read when handle's parser is built
+    "--variant": {"default": "one-handle"},
     "--budget": {"type": int, "default": 10_000_000},
 }
 
@@ -477,25 +478,39 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with only the named subcommand's subparser when that is a
+    known command, and with all of them otherwise (no command, --help, an
+    unknown name)."""
     parser = argparse.ArgumentParser(
         prog="morseshell",
         description="Morse tilings and shellings of simplicial complexes")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, required, optional) in _COMMANDS.items():
+    names = [command] if command in _COMMANDS else list(_COMMANDS)
+    # a lone subparser's parent still lists every command in its usage line,
+    # which an unrecognised argument prints
+    metavar = None if len(names) > 1 else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        _, required, optional = _COMMANDS[name]
         p = sub.add_parser(name)
         if name == "word-reduce":
             p.add_argument("word")
         for flag in required:
             p.add_argument(flag, required=True, **_FLAGS[flag])
         for flag in optional:
-            p.add_argument(flag, **_FLAGS[flag])
+            options = _FLAGS[flag]
+            if flag == "--variant":
+                from .generators import HANDLE_VARIANTS
+                options = options | {"choices": HANDLE_VARIANTS}
+            p.add_argument(flag, **options)
         p.add_argument("--format", choices=("json", "text"), default="json")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -11,7 +11,6 @@ threads.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, permutations
 from types import MappingProxyType
@@ -32,6 +31,25 @@ def simplex(vertices: Iterable[int]) -> Simplex:
         if a == b:
             raise ValueError(f"duplicate vertex id {a} in simplex")
     return vs
+
+
+class _Record:
+    """Base of plain classes whose instance attributes are exactly their
+    constructor's fields, set in its order.  A record equals an instance of
+    the same class with equal fields, hashes its field tuple and prints as
+    ``Name(field=value, ...)``; a mutable one sets ``__hash__ = None``."""
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"
 
 
 def faces_of(s: Simplex) -> Iterator[Simplex]:
@@ -285,7 +303,6 @@ def betti_numbers_mod2(K: SimplicialComplex) -> list[int]:
     return [fv[p] - ranks[p] - ranks[p + 1] for p in range(n + 1)]
 
 
-@dataclass(frozen=True, eq=False)
 class BarycentricSubdivision:
     """First barycentric subdivision of a complex.
 
@@ -295,9 +312,11 @@ class BarycentricSubdivision:
     the first time ``complex`` is read.
     """
 
-    base: SimplicialComplex
-    vertex_face: tuple[Simplex, ...]
-    face_vertex: Mapping[Simplex, int]
+    def __init__(self, base: SimplicialComplex, vertex_face: tuple[Simplex, ...],
+                 face_vertex: Mapping[Simplex, int]) -> None:
+        self.base = base
+        self.vertex_face = vertex_face
+        self.face_vertex = face_vertex
 
     @cached_property
     def complex(self) -> SimplicialComplex:

@@ -5,13 +5,13 @@ them."""
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
 from .complexes import (
     SimplicialComplex,
     Simplex,
+    _Record,
     connected_components,
     is_closed_surface,
     make_complex,
@@ -69,15 +69,16 @@ def shell_surface(K: SimplicialComplex,
     return MorseTiling.over_complex(K, tiles, ordered=True)
 
 
-@dataclass(frozen=True)
-class PrismTriangulation:
+class PrismTriangulation(_Record):
     """Staircase triangulation of the prism over a simplex, with its two
     base labelings and the staircase shelling order."""
 
-    complex: SimplicialComplex
-    bottom: tuple[int, ...]
-    top: tuple[int, ...]
-    simplex_order: tuple[Simplex, ...]
+    def __init__(self, complex: SimplicialComplex, bottom: tuple[int, ...],
+                 top: tuple[int, ...], simplex_order: tuple[Simplex, ...]) -> None:
+        self.complex = complex
+        self.bottom = bottom
+        self.top = top
+        self.simplex_order = simplex_order
 
 
 def prism_triangulation(n: int) -> PrismTriangulation:

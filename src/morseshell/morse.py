@@ -10,14 +10,13 @@ Morse function exactly when it has no non-stationary closed V-path.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .complexes import SimplicialComplex, Simplex, betti_numbers_mod2, simplex
+from .complexes import SimplicialComplex, Simplex, _Record, betti_numbers_mod2, simplex
 from .tiles import MorseTile, interval
 from .tiling import (
     MorseTiling,
@@ -37,7 +36,6 @@ class CyclicFieldError(ValueError):
         self.cycle = cycle
 
 
-@dataclass(frozen=True, eq=False)
 class DiscreteVectorField:
     """Matching from faces to cofaces over a domain of open faces.
 
@@ -45,13 +43,10 @@ class DiscreteVectorField:
     what is derived from it (the V-path walk) is computed once per field.
     """
 
-    matching: Mapping[Simplex, Simplex]
-    domain: frozenset[Simplex]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "matching",
-                           MappingProxyType(dict(self.matching)))
-        object.__setattr__(self, "domain", frozenset(self.domain))
+    def __init__(self, matching: Mapping[Simplex, Simplex],
+                 domain: Iterable[Simplex]) -> None:
+        self.matching: Mapping[Simplex, Simplex] = MappingProxyType(dict(matching))
+        self.domain: frozenset[Simplex] = frozenset(domain)
 
     @cached_property
     def _walk(self) -> tuple[tuple[Simplex, ...] | None, dict[Simplex, int]]:
@@ -238,10 +233,11 @@ def is_vpath(W: DiscreteVectorField, seq: list[Simplex]) -> bool:
 # -- Morse functions ---------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
 class DiscreteMorseFunction:
-    values: Mapping[Simplex, Fraction]
-    domain: frozenset[Simplex]
+    def __init__(self, values: Mapping[Simplex, Fraction],
+                 domain: frozenset[Simplex]) -> None:
+        self.values = values
+        self.domain = domain
 
     def __getitem__(self, f: Simplex) -> Fraction:
         return self.values[f]
@@ -314,10 +310,14 @@ def _drops_and_rises(f: DiscreteMorseFunction) -> \
     return drops, rises
 
 
-@dataclass
 class MorseFunctionReport(Report):
-    exceptions: dict = field(default_factory=dict)  # face -> (up, down) counts
-    gradient_matches: bool | None = None
+    def __init__(self, valid: bool, errors: list[str] | None = None,
+                 exceptions: dict | None = None,
+                 gradient_matches: bool | None = None) -> None:
+        super().__init__(valid, errors)
+        # face -> (up, down) counts
+        self.exceptions = {} if exceptions is None else exceptions
+        self.gradient_matches = gradient_matches
 
 
 def validate_morse_function(f: DiscreteMorseFunction,
@@ -369,15 +369,19 @@ def gradient_of(f: DiscreteMorseFunction) -> DiscreteVectorField:
 # -- Morse inequalities -------------------------------------------------------
 
 
-@dataclass
-class InequalitiesReport:
-    certified: bool
-    betti: list[int]
-    critical: list[int]
-    betti_bounded: bool
-    alternating_ok: bool
-    euler_equality: bool
-    messages: list[str] = field(default_factory=list)
+class InequalitiesReport(_Record):
+    def __init__(self, certified: bool, betti: list[int], critical: list[int],
+                 betti_bounded: bool, alternating_ok: bool, euler_equality: bool,
+                 messages: list[str] | None = None) -> None:
+        self.certified = certified
+        self.betti = betti
+        self.critical = critical
+        self.betti_bounded = betti_bounded
+        self.alternating_ok = alternating_ok
+        self.euler_equality = euler_equality
+        self.messages = [] if messages is None else messages
+
+    __hash__ = None  # mutable
 
     @property
     def ok(self) -> bool:

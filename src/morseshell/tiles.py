@@ -12,60 +12,54 @@ the open simplex count as critical of index 0 and n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .complexes import Simplex, simplex
+from .complexes import Simplex, _Record, simplex
 
 
 class NotMorseTileError(ValueError):
     """Raised when a face set is not the extension of any Morse tile."""
 
 
-@dataclass(frozen=True)
 class MorseTile:
-    closure: Simplex
-    witnesses: frozenset[int] = frozenset()
-    removed_face: Simplex | None = None
+    """A Morse tile, normalised at construction: a removed facet given as
+    the extra removed face becomes one more witness.  Tiles are equal, and
+    hash alike, when their three fields are."""
 
-    def __post_init__(self) -> None:
-        if tuple(self.closure) == ():
+    def __init__(self, closure: Simplex, witnesses: frozenset[int] = frozenset(),
+                 removed_face: Simplex | None = None) -> None:
+        if tuple(closure) == ():
             # the empty tile, kept as an explicit convention
-            if self.witnesses or self.removed_face is not None:
+            if witnesses or removed_face is not None:
                 raise ValueError("the empty tile has no witnesses or removed face")
-            object.__setattr__(self, "closure", ())
+            self.closure, self.witnesses, self.removed_face = (), witnesses, None
             return
-        cl = simplex(self.closure)
-        object.__setattr__(self, "closure", cl)
-        ws = frozenset(self.witnesses)
+        cl = simplex(closure)
+        ws = frozenset(witnesses)
         if not ws <= set(cl):
             raise ValueError("witnesses must be vertices of the closure")
-        object.__setattr__(self, "witnesses", ws)
-        tau = self.removed_face
-        if tau is None:
-            return
-        tau = simplex(tau)
-        if not set(tau) <= set(cl):
-            raise ValueError("removed face must be a face of the closure")
-        if tau == cl:
-            raise ValueError("cannot remove the whole closure")
-        if not ws <= set(tau):
-            raise ValueError("removed face may not lie inside a removed facet")
-        if len(tau) == len(cl) - 1:
-            # removing a facet as the extra face just bumps the order
-            extra = (set(cl) - set(tau)).pop()
-            object.__setattr__(self, "witnesses", ws | {extra})
-            object.__setattr__(self, "removed_face", None)
-        else:
-            object.__setattr__(self, "removed_face", tau)
+        tau = removed_face
+        if tau is not None:
+            tau = simplex(tau)
+            if not set(tau) <= set(cl):
+                raise ValueError("removed face must be a face of the closure")
+            if tau == cl:
+                raise ValueError("cannot remove the whole closure")
+            if not ws <= set(tau):
+                raise ValueError("removed face may not lie inside a removed facet")
+            if len(tau) == len(cl) - 1:
+                # removing a facet as the extra face just bumps the order
+                extra = (set(cl) - set(tau)).pop()
+                ws, tau = ws | {extra}, None
+        self.closure, self.witnesses, self.removed_face = cl, ws, tau
 
     @classmethod
     def _trusted(cls, closure: Simplex, witnesses: frozenset[int],
                  removed_face: Simplex | None) -> "MorseTile":
         """Trusted constructor, without the checks and normalisation of
-        ``__post_init__``: the fields must already be those of a normalised
+        ``__init__``: the fields must already be those of a normalised
         tile, as in a tile the library recognises from canonical faces or
         relabels by an order-preserving vertex map."""
         tile = cls.__new__(cls)
@@ -130,6 +124,15 @@ class MorseTile:
         return ext if self.removed_face is None else \
             ext - interval(self.witnesses, self.removed_face)
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.closure, self.witnesses, self.removed_face) == \
+            (other.closure, other.witnesses, other.removed_face)
+
+    def __hash__(self) -> int:
+        return hash((self.closure, self.witnesses, self.removed_face))
+
     def __repr__(self) -> str:
         if self.is_empty:
             return "MorseTile(empty)"
@@ -157,13 +160,14 @@ class MorseTile:
 EMPTY_TILE = MorseTile(())
 
 
-@dataclass(frozen=True)
-class TileKind:
-    label: str  # "basic" | "regular" | "critical"
-    dim: int
-    order: int
-    removed_dim: int | None = None
-    index: int | None = None
+class TileKind(_Record):
+    def __init__(self, label: str, dim: int, order: int,
+                 removed_dim: int | None = None, index: int | None = None) -> None:
+        self.label = label  # "basic" | "regular" | "critical"
+        self.dim = dim
+        self.order = order
+        self.removed_dim = removed_dim
+        self.index = index
 
     def __str__(self) -> str:
         if self.label == "critical":
@@ -179,7 +183,9 @@ class TileKind:
 
 def standard_tile(n: int, k: int) -> MorseTile:
     """The n-simplex on vertices 0..n with its first k facets removed."""
-    if n < 0 or not 0 <= k <= n + 1:
+    if n < 0:
+        raise ValueError(f"dimension must be non-negative, got {n}")
+    if not 0 <= k <= n + 1:
         raise ValueError(f"order must lie in 0..{n + 1}, got {k}")
     return MorseTile(tuple(range(n + 1)), frozenset(range(k)))
 
@@ -195,6 +201,8 @@ def standard_morse_tile(n: int, k: int, l: int) -> MorseTile:
 
 def critical_tile(n: int, k: int) -> MorseTile:
     """The critical tile of dimension n and index k."""
+    if n < 0:
+        raise ValueError(f"dimension must be non-negative, got {n}")
     if not 0 <= k <= n:
         raise ValueError(f"index must lie in 0..{n}, got {k}")
     if k == 0:

@@ -11,7 +11,6 @@ prefixes are all traces of subcomplexes.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
@@ -19,6 +18,7 @@ from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
 from .complexes import (
     SimplicialComplex,
     Simplex,
+    _Record,
     barycentric_subdivision,
     euler_characteristic,
     faces_of,
@@ -46,17 +46,14 @@ class SearchBudgetExceeded(RuntimeError):
 MAX_ERRORS = 100
 
 
-@dataclass(frozen=True, eq=False)
 class MorseTiling:
-    ambient: SimplicialComplex
-    carrier: frozenset[Simplex]
-    tiles: tuple[MorseTile, ...]
-    ordered: bool = False
-
-    def __post_init__(self) -> None:
+    def __init__(self, ambient: SimplicialComplex, carrier: Iterable[Simplex],
+                 tiles: Iterable[MorseTile], ordered: bool = False) -> None:
+        self.ambient = ambient
         # frozen fields, so that what is derived from them is computed once
-        object.__setattr__(self, "carrier", frozenset(self.carrier))
-        object.__setattr__(self, "tiles", tuple(self.tiles))
+        self.carrier: frozenset[Simplex] = frozenset(carrier)
+        self.tiles: tuple[MorseTile, ...] = tuple(tiles)
+        self.ordered = ordered
 
     @classmethod
     def over_complex(cls, K: SimplicialComplex, tiles: Iterable[MorseTile],
@@ -105,12 +102,14 @@ class MorseTiling:
         return cls(K, carrier, tiles, ordered)
 
 
-@dataclass
-class Report:
+class Report(_Record):
     """Outcome of a validator: valid exactly when no error was found."""
 
-    valid: bool
-    errors: list[str] = field(default_factory=list)
+    def __init__(self, valid: bool, errors: list[str] | None = None) -> None:
+        self.valid = valid
+        self.errors = [] if errors is None else errors
+
+    __hash__ = None  # mutable
 
     def __bool__(self) -> bool:
         return self.valid
@@ -256,12 +255,12 @@ def classical_shelling_order(K: SimplicialComplex,
 # -- censuses ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CriticalVector:
+class CriticalVector(_Record):
     """Counts of critical tiles per index, with the Euler cross-check."""
 
-    counts: tuple[int, ...]
-    euler_characteristic: int
+    def __init__(self, counts: tuple[int, ...], euler_characteristic: int) -> None:
+        self.counts = counts
+        self.euler_characteristic = euler_characteristic
 
     def __getitem__(self, k: int) -> int:
         return self.counts[k] if 0 <= k < len(self.counts) else 0
@@ -285,15 +284,18 @@ def critical_vector(t: MorseTiling) -> CriticalVector:
     return CriticalVector(tuple(counts), euler_characteristic(t.carrier))
 
 
-@dataclass(frozen=True)
-class HTable:
+class HTable(_Record):
     """Tile counts: basic tiles by (dimension, order), the rest tallied
     separately, plus the vertex-count identity check."""
 
-    basic: Mapping[tuple[int, int], int]
-    regular: Mapping[tuple[int, int, int], int]
-    critical_nonbasic: Mapping[tuple[int, int], int]
-    vertex_count: int
+    def __init__(self, basic: Mapping[tuple[int, int], int],
+                 regular: Mapping[tuple[int, int, int], int],
+                 critical_nonbasic: Mapping[tuple[int, int], int],
+                 vertex_count: int) -> None:
+        self.basic = basic
+        self.regular = regular
+        self.critical_nonbasic = critical_nonbasic
+        self.vertex_count = vertex_count
 
     @property
     def order_one_total(self) -> int:

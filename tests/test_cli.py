@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from morseshell import cli
+from morseshell import cli, complexes, generators, tiles, tiling, words
 from morseshell.catalog import (
     boundary_sphere,
     moebius_kantor_torus,
@@ -252,6 +252,12 @@ def test_tile_info(capsys):
     assert data["chi"] == 1
 
 
+def test_tile_info_rejects_a_negative_dimension(capsys):
+    code, out, err = run(capsys, "tile-info", "--n", "-1", "--k", "0")
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "dimension must be non-negative, got -1"}
+
+
 def test_malformed_json_names_byte_offset(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"name": "x", "maximal_simplices": [[0,1]')
@@ -270,10 +276,44 @@ def test_text_format(tmp_path, capsys):
 
 def test_unknown_flags_rejected(tmp_path, capsys):
     path = write_complex(tmp_path, boundary_sphere(3))
-    code, _, _ = run(capsys, "betti", "--complex", path, "--bogus")
+    code, _, err = run(capsys, "betti", "--complex", path, "--bogus")
     assert code == 2
+    # the usage line names every command, though only betti's parser is built
+    assert err.startswith("usage: morseshell [-h]\n") and ALL_COMMANDS in err
+    assert err.endswith("error: unrecognized arguments: --bogus\n")
     code, _, _ = run(capsys, "no-such-command")
     assert code == 2
+
+
+ALL_COMMANDS = ("{verify-tiling,verify-shelling,shell-surface,search-shelling,"
+                "subdivide,skeleton,field,vpath-check,morse-function,betti,"
+                "inequalities,hcounts,pack,handle,prism,word-reduce,tile-info}")
+
+
+@pytest.mark.parametrize("argv", [[], ["nope"], ["--format", "text"]])
+def test_no_known_command_lists_every_command(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert ALL_COMMANDS in err
+    if argv == ["nope"]:
+        choices = ", ".join(repr(c) for c in ALL_COMMANDS[1:-1].split(","))
+        assert err.endswith("error: argument command: invalid choice: 'nope'"
+                            f" (choose from {choices})\n")
+
+
+def test_top_level_help_lists_every_command(capsys):
+    code, out, _ = run(capsys, "--help")
+    assert code == 0
+    assert f"positional arguments:\n  {ALL_COMMANDS}\n" in out
+
+
+def test_handle_variant_choices(capsys):
+    code, out, _ = run(capsys, "handle", "--help")
+    assert code == 0
+    assert "--variant {one-handle,co-handle,lateral}" in out
+    code, out, err = run(capsys, "handle", "--n", "2", "--variant", "bad")
+    assert code == 2 and out == ""
+    assert "invalid choice: 'bad'" in err
 
 
 def test_reports_are_deterministic(tmp_path, capsys):
@@ -506,6 +546,17 @@ def with_files(tmp_path, argv):
     return [a.write(tmp_path) if isinstance(a, PointIn) else a for a in argv]
 
 
+# the module each guarded builder is defined in; the handlers import it
+# when they run, so patching that module reaches them
+BUILDER_MODULES = {"standard_tile": tiles,
+                   "standard_morse_tile": tiles,
+                   "handle_tiling": generators,
+                   "prism_triangulation": generators,
+                   "reduce_word": words,
+                   "barycentric_subdivision": complexes,
+                   "subdivide_tiling": tiling}
+
+
 @pytest.mark.parametrize("argv", [["tile-info", "--n", "23", "--k", "0"],
                                   ["tile-info", "--n", "10000000000000",
                                    "--k", "0"],
@@ -520,10 +571,8 @@ def with_files(tmp_path, argv):
                                   ["subdivide", "--tiling", PointIn(11)]])
 def test_face_count_cap_refuses_before_enumerating(monkeypatch, capsys,
                                                    tmp_path, argv):
-    for name in ("standard_tile", "standard_morse_tile", "handle_tiling",
-                 "prism_triangulation", "reduce_word",
-                 "barycentric_subdivision", "subdivide_tiling"):
-        monkeypatch.setattr(cli, name, _refuse_to_build)
+    for name, module in BUILDER_MODULES.items():
+        monkeypatch.setattr(module, name, _refuse_to_build)
     code, out, err = run(capsys, *with_files(tmp_path, argv))
     assert code == 2
     assert out == ""
@@ -546,7 +595,7 @@ def test_face_count_cap_admits_the_largest_n_below_it(monkeypatch, capsys,
              "prism_triangulation": lambda n: prism_triangulation(2),
              "reduce_word": lambda w: reduce_word(word("ududdu")),
              "subdivide_tiling": lambda t, iterations: t}
-    monkeypatch.setattr(cli, builder, small[builder])
+    monkeypatch.setattr(BUILDER_MODULES[builder], builder, small[builder])
     code, _, _ = run(capsys, *with_files(tmp_path, argv))
     assert code == 0
 

@@ -119,6 +119,13 @@ def test_invalid_removed_face_rejected():
         standard_morse_tile(3, 3, 1)  # k > l+1
 
 
+@pytest.mark.parametrize("build", [standard_tile, critical_tile])
+def test_negative_dimension_has_its_own_message(build):
+    with pytest.raises(ValueError,
+                       match="^dimension must be non-negative, got -1$"):
+        build(-1, 0)
+
+
 def test_chi_closed_forms():
     for n in range(0, 9):
         for k in range(n + 1):
