@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from collections import Counter
 from typing import TYPE_CHECKING, Any, Iterable
@@ -77,18 +78,28 @@ def _write_out(path: str | None, payload: Any) -> None:
         raise CliError(f"cannot write {path}: {exc}") from exc
 
 
-def _emit(report: dict, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        for key in sorted(report):
-            value = report[key]
-            if isinstance(value, list) and value and isinstance(value[0], str):
-                print(f"{key}:")
-                for line in value:
-                    print(f"  {line}")
-            else:
-                print(f"{key}: {value}")
+def _emit(report: dict | None, fmt: str | None) -> None:
+    """Print the report in the given format, nothing when the format is
+    None, and flush standard output."""
+    try:
+        if fmt == "json":
+            print(json.dumps(report, indent=2, sort_keys=True))
+        elif fmt == "text":
+            for key in sorted(report):
+                value = report[key]
+                if isinstance(value, list) and value and \
+                        isinstance(value[0], str):
+                    print(f"{key}:")
+                    for line in value:
+                        print(f"  {line}")
+                else:
+                    print(f"{key}: {value}")
+        sys.stdout.flush()
+    except OSError as exc:
+        # the interpreter flushes standard output again at exit; send that
+        # flush nowhere, so that it cannot fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise CliError(f"cannot write standard output: {exc}") from exc
 
 
 def _tiling_errors(t: MorseTiling) -> dict | None:
@@ -511,18 +522,20 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     parser = _build_parser(argv[0] if argv else None)
+    report, fmt = None, None
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    handler = _COMMANDS[args.command][0]
-    try:
-        code, report = handler(args)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # after --help, or usage on stderr
+            code = 2 if exc.code not in (0, None) else 0
+        else:
+            code, report = _COMMANDS[args.command][0](args)
+            fmt = args.format
+        _emit(report, fmt)
     except CliError as exc:
         print(json.dumps({"error": str(exc)}, indent=2, sort_keys=True),
               file=sys.stderr)
         return exc.code
-    _emit(report, args.format)
     return code
 
 

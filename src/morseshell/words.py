@@ -54,28 +54,25 @@ class CyclicWord:
 def _least_rotation(s: str) -> int:
     """Start of the lexicographically least rotation of s, in O(len(s)).
 
-    Booth's algorithm (K. S. Booth, "Lexicographically least circular
-    substrings", IPL 10(4), 1980): a Knuth-Morris-Pratt failure function
-    over s + s, relative to the best start k found so far, moves k forward
-    whenever a mismatch shows a smaller rotation.
+    Two candidate starts i < j are compared letter by letter over s + s;
+    no start below j other than i begins a least rotation.  When the
+    candidates first differ, k letters in, the one with the larger letter
+    and the k starts after it do not either: the other beats each of them.
     """
     ss = s + s
-    fail = [-1] * len(ss)
-    k = 0
-    for j in range(1, len(ss)):
-        c = ss[j]
-        i = fail[j - k - 1]
-        while i != -1 and c != ss[k + i + 1]:
-            if c < ss[k + i + 1]:
-                k = j - i - 1
-            i = fail[i]
-        if c != ss[k + i + 1]:  # here i == -1
-            if c < ss[k]:
-                k = j
-            fail[j - k] = -1
+    n = len(s)
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        a, b = ss[i + k], ss[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i, j = j, max(j + 1, i + k + 1)
         else:
-            fail[j - k] = i + 1
-    return k
+            j += k + 1
+        k = 0
+    return i
 
 
 def word(letters: str) -> CyclicWord:
@@ -158,29 +155,17 @@ def _descent_to_target(start_letters: str) -> tuple[RewriteStep, ...]:
     """Shortest validity-preserving rewrite path from the given canonical
     word down to the reduction target (breadth-first, deterministic)."""
     start = CyclicWord(start_letters)
-    if start == REDUCTION_TARGET:
-        return ()
-    parents: dict[CyclicWord, tuple[CyclicWord, RewriteStep]] = {}
+    paths: dict[CyclicWord, tuple[RewriteStep, ...]] = {start: ()}
     queue = deque([start])
-    seen = {start}
-    while queue:
+    while REDUCTION_TARGET not in paths:
+        if not queue:
+            raise RuntimeError(f"no reduction path from {start_letters}")
         cur = queue.popleft()
         for step in _validity_preserving_steps(cur):
-            nxt = step.result
-            if nxt in seen:
-                continue
-            seen.add(nxt)
-            parents[nxt] = (cur, step)
-            if nxt == REDUCTION_TARGET:
-                path = []
-                node = nxt
-                while node != start:
-                    prev, st = parents[node]
-                    path.append(st)
-                    node = prev
-                return tuple(reversed(path))
-            queue.append(nxt)
-    raise RuntimeError(f"no reduction path from {start_letters}")
+            if step.result not in paths:
+                paths[step.result] = paths[cur] + (step,)
+                queue.append(step.result)
+    return paths[REDUCTION_TARGET]
 
 
 def reduce_word(w: CyclicWord) -> list[RewriteStep]:

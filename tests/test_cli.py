@@ -785,3 +785,135 @@ def test_malformed_json_keeps_the_exit_contract(tmp_path, capsys, monkeypatch,
         code = main([arg.format(**paths) for arg in argv])
         capsys.readouterr()
         assert code in (0, 1, 2), argv
+
+
+# -- behaviour the README documents ------------------------------------------
+
+
+def test_skeleton_of_a_complex(tmp_path, capsys):
+    path = write_complex(tmp_path, moebius_kantor_torus())
+    code, out, _ = run(capsys, "skeleton", "--n", "1", "--complex", path)
+    assert code == 0
+    assert json.loads(out) == {"f_vector": [7, 21], "faces": 28}
+
+
+def test_search_shelling_budget_exceeded(tmp_path, capsys):
+    path = write_complex(tmp_path, moebius_kantor_torus())
+    code, out, _ = run(capsys, "search-shelling", "--budget", "0",
+                       "--complex", path)
+    assert code == 1
+    assert json.loads(out) == {"budget": 0, "status": "budget exceeded"}
+
+
+def write_cyclic_tiling(tmp_path):
+    """A valid ordered tiling of the triangle boundary whose field pairs each
+    vertex with the edge to its predecessor, a closed V-path."""
+    path = tmp_path / "cyclic.json"
+    path.write_text(json.dumps({
+        "complex": {"name": "triangle-boundary",
+                    "maximal_simplices": [[0, 1], [1, 2], [0, 2]]},
+        "ordered": True,
+        "tiles": [{"closure": [0, 1], "removed_witnesses": [1]},
+                  {"closure": [1, 2], "removed_witnesses": [2]},
+                  {"closure": [0, 2], "removed_witnesses": [0]}]}))
+    return str(path)
+
+
+def test_cyclic_tiling_through_field_vpath_check_and_morse_function(
+        tmp_path, capsys):
+    tpath = write_cyclic_tiling(tmp_path)
+    fpath = str(tmp_path / "field.json")
+    code, out, _ = run(capsys, "field", "--tiling", tpath, "--out", fpath)
+    assert code == 0
+    data = json.loads(out)
+    assert data["pairs"] == 3 and data["critical_cells"] == []
+    cycle = [[0], [2], [1], [0]]
+
+    code, out, _ = run(capsys, "vpath-check", "--field", fpath)
+    assert code == 1
+    assert json.loads(out)["closed_vpath"] == cycle
+
+    code, out, _ = run(capsys, "morse-function", "--tiling", tpath)
+    assert code == 1
+    assert json.loads(out) == {"status": "cyclic field", "closed_vpath": cycle}
+
+
+def test_verify_shelling_text_lists_errors_indented(tmp_path, capsys):
+    tpath = write_cyclic_tiling(tmp_path)
+    code, out, _ = run(capsys, "verify-shelling", "--tiling", tpath)
+    assert code == 1
+    errors = json.loads(out)["errors"]
+    assert errors and errors[0].startswith("prefix 1:")
+
+    code, out, _ = run(capsys, "verify-shelling", "--tiling", tpath,
+                       "--format", "text")
+    assert code == 1
+    lines = out.splitlines()
+    at = lines.index("errors:")
+    assert lines[at + 1:at + 1 + len(errors)] == [f"  {e}" for e in errors]
+
+
+# -- standard output that cannot be written ----------------------------------
+
+
+def _unwritable_stdout_run(tmp_path, stdout, unbuffered):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    path = write_complex(tmp_path, moebius_kantor_torus())
+    proc = subprocess.run(
+        [sys.executable, "-m", "morseshell.cli", "betti", "--complex", path],
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
+    error = json.loads(proc.stderr)["error"]
+    assert error.startswith("cannot write standard output: ")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_stdout_pipe_without_reader_exits_2(tmp_path, unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe fails with EPIPE
+    try:
+        _unwritable_stdout_run(tmp_path, write_end, unbuffered)
+    finally:
+        os.close(write_end)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_stdout_on_a_full_device_exits_2(tmp_path, unbuffered):
+    with open("/dev/full", "w") as full:
+        _unwritable_stdout_run(tmp_path, full, unbuffered)
+
+
+# -- reports independent of the hash seed ------------------------------------
+
+
+def _outputs_under_hash_seed(tmp_path, seed):
+    """Stdout of each stage and the bytes of each --out file, under one
+    PYTHONHASHSEED."""
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED=seed)
+    work = tmp_path / f"seed-{seed}"
+    work.mkdir()
+    write_complex(work, moebius_kantor_torus(), "torus.json")
+    stages = [
+        ["word-reduce", "uuudddududdu", "--out", "trace.json"],
+        ["shell-surface", "--complex", "torus.json", "--out", "shelling.json"],
+        ["field", "--tiling", "shelling.json", "--out", "field.json"],
+        ["morse-function", "--tiling", "shelling.json", "--out", "morse.json"],
+    ]
+    outputs = []
+    for argv in stages:
+        proc = subprocess.run([sys.executable, "-m", "morseshell.cli", *argv],
+                              capture_output=True, env=env, cwd=work)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((proc.stdout, (work / argv[-1]).read_bytes()))
+    return outputs
+
+
+def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
+    assert _outputs_under_hash_seed(tmp_path, "0") == \
+        _outputs_under_hash_seed(tmp_path, "1")

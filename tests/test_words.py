@@ -63,6 +63,18 @@ def test_canonical_rotation_matches_brute_force(s):
     assert word(s).letters == brute_force_canonical(s)
 
 
+@pytest.mark.parametrize("s", [
+    "du" * 2236,
+    "ddu" * 1490 + "dd",
+    "d" * 4471 + "u",
+    "d" * 2235 + "u" + "d" * 2236,
+    "".join(random.Random(4472).choice("du") for _ in range(4472)),
+], ids=["period-2", "period-3-cut", "one-u-last", "one-u-middle", "random"])
+def test_canonical_rotation_at_the_longest_cli_word(s):
+    # 4472 letters is the longest word whose trace the CLI admits
+    assert word(s).letters == brute_force_canonical(s)
+
+
 def eager_steps(w):
     """Every validity-preserving rewrite of w, all built at once."""
     out = []
