@@ -96,10 +96,28 @@ def _emit(report: dict | None, fmt: str | None) -> None:
                     print(f"{key}: {value}")
         sys.stdout.flush()
     except OSError as exc:
-        # the interpreter flushes standard output again at exit; send that
-        # flush nowhere, so that it cannot fail a second time
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        raise CliError(f"cannot write standard output: {exc}") from exc
+        raise _stdout_error(exc) from exc
+
+
+def _stdout_error(exc: OSError) -> CliError:
+    """The error for a failed write to standard output."""
+    # the interpreter flushes standard output again at exit; send that
+    # flush nowhere, so that it cannot fail a second time
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return CliError(f"cannot write standard output: {exc}")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose help reports a failed write to standard
+    output; argparse ignores it, which unbuffered output makes final."""
+
+    def print_help(self, file=None) -> None:
+        if file is not None:
+            return super().print_help(file)
+        try:
+            sys.stdout.write(self.format_help())
+        except OSError as exc:
+            raise _stdout_error(exc) from exc
 
 
 def _tiling_errors(t: MorseTiling) -> dict | None:
@@ -489,11 +507,11 @@ _COMMANDS = {
 }
 
 
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> _Parser:
     """The parser with only the named subcommand's subparser when that is a
     known command, and with all of them otherwise (no command, --help, an
     unknown name)."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="morseshell",
         description="Morse tilings and shellings of simplicial complexes")
     names = [command] if command in _COMMANDS else list(_COMMANDS)

@@ -11,10 +11,11 @@ threads.
 from __future__ import annotations
 
 from collections import defaultdict
-from functools import cached_property
-from itertools import combinations, permutations
+from functools import cached_property, update_wrapper
+from itertools import accumulate, chain, combinations, permutations
+from operator import itemgetter, sub
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
 
 Simplex = tuple[int, ...]
 
@@ -61,6 +62,42 @@ def faces_of(s: Simplex) -> Iterator[Simplex]:
 def facets_of(s: Simplex) -> Iterator[Simplex]:
     """Codimension-one faces."""
     return combinations(s, len(s) - 1)
+
+
+def _picker(parts: Sequence[Sequence[int]]) -> Callable[[tuple], tuple[tuple, ...]]:
+    """A function taking a tuple to the tuple of its sub-tuples at the
+    given increasing lists of positions, by C-level ``itemgetter``: one of
+    slices when each of two or more lists is a non-empty arithmetic
+    progression (as faces on at most three vertices are), else one of
+    items, then one of slices."""
+    if len(parts) > 1 and all(p and len(set(map(sub, p[1:], p))) < 2 for p in parts):
+        return itemgetter(*[slice(p[0], p[-1] + 1, p[1] - p[0] if len(p) > 1 else 1)
+                            for p in parts])
+    ends = list(accumulate(map(len, parts), initial=0))
+    # spare items, so that each getter returns a tuple for any count
+    flat = itemgetter(*chain.from_iterable(parts), 0, 0)
+    cut = itemgetter(*map(slice, ends, ends[1:]), slice(0))
+    return lambda s: cut(flat(s))[:-1]
+
+
+class _PerShape(dict):
+    """``build(*key)`` for keys led by a simplex size, kept for sizes up to
+    ``LIMIT``, which have finitely many shapes; read as ``cache[key]`` or
+    ``cache(*key)``."""
+
+    LIMIT = 6
+
+    def __init__(self, build: Callable) -> None:
+        update_wrapper(self, build)
+
+    def __missing__(self, key: tuple):
+        value = self.__wrapped__(*key)
+        if key[0] <= self.LIMIT:
+            self[key] = value
+        return value
+
+    def __call__(self, *key):
+        return self[key]
 
 
 class SimplicialComplex:
@@ -270,11 +307,12 @@ def single_face_intersection(K: SimplicialComplex, L: SimplicialComplex) -> bool
     return True
 
 
-def _gf2_rank(rows: list[int]) -> int:
-    """Rank of a GF(2) matrix given as int bitsets, by elimination with
-    pivot lookup by leading bit: a row is XORed only with the pivot that
-    shares its leading bit, until it vanishes or its leading bit is new
-    (the persistence reduction of Edelsbrunner, Letscher and Zomorodian)."""
+def _gf2_pivots(rows: Iterable[int]) -> dict[int, int]:
+    """Pivot rows of a GF(2) matrix of int bitsets by leading bit, found by
+    elimination with pivot lookup by leading bit: a row is XORed only with
+    the pivot that shares its leading bit, until it vanishes or its leading
+    bit is new (the persistence reduction of Edelsbrunner, Letscher and
+    Zomorodian)."""
     pivots: dict[int, int] = {}  # leading bit -> pivot row
     for row in rows:
         while row:
@@ -283,22 +321,33 @@ def _gf2_rank(rows: list[int]) -> int:
                 pivots[lead] = row
                 break
             row ^= pivots[lead]
-    return len(pivots)
+    return pivots
+
+
+def _gf2_rank(rows: Iterable[int]) -> int:
+    """Rank of a GF(2) matrix given as int bitsets; see :func:`_gf2_pivots`."""
+    return len(_gf2_pivots(rows))
 
 
 def betti_numbers_mod2(K: SimplicialComplex) -> list[int]:
     """Ranks of mod-2 homology, one entry per dimension 0..dim K."""
     n = K.dim
     ranks = [0] * (n + 2)  # ranks[p] = rank of the boundary map in degree p
-    for p in range(1, n + 1):
+    # clearing (Chen and Kerber, 2011): going down, a face that is the leading
+    # bit of a pivot above gets no row; faces by dimension, then vertices, are
+    # a filtration, so that row would reduce to zero
+    cleared: Container[int] = ()
+    for p in range(n, 0, -1):
         lower = {f: i for i, f in enumerate(K.faces_by_dim[p - 1])}
         rows = []
-        for f in K.faces_by_dim[p]:
-            mask = 0
-            for fac in combinations(f, len(f) - 1):
-                mask |= 1 << lower[fac]
-            rows.append(mask)
-        ranks[p] = _gf2_rank(rows)
+        for i, f in enumerate(K.faces_by_dim[p]):
+            if i not in cleared:
+                mask = 0
+                for fac in combinations(f, p):
+                    mask |= 1 << lower[fac]
+                rows.append(mask)
+        cleared = _gf2_pivots(rows).keys()
+        ranks[p] = len(cleared)
     fv = K.f_vector
     return [fv[p] - ranks[p] - ranks[p + 1] for p in range(n + 1)]
 
@@ -345,12 +394,21 @@ class BarycentricSubdivision:
                                           name=L.name)
 
 
+@_PerShape
+def _flags_picker(size: int) -> Callable[[tuple], tuple[Simplex, ...]]:
+    """The picker of the chains of prefixes of the permutations of a
+    simplex on ``size`` vertices, out of its faces in ``faces_of`` order."""
+    local = {f: i for i, f in enumerate(faces_of(tuple(range(size))))}
+    return _picker([[local[tuple(sorted(perm[:i]))] for i in range(1, size + 1)]
+                    for perm in permutations(range(size))])
+
+
 def _maximal_flags(K: SimplicialComplex, face_vertex: Mapping[Simplex, int]) -> list[Simplex]:
-    flags = []
+    # ids grow with face size, so a chain of prefixes runs up in id order
+    flags: list[Simplex] = []
     for m in K.maximal_simplices:
-        for perm in permutations(m):
-            chain = [tuple(sorted(perm[: i + 1])) for i in range(len(perm))]
-            flags.append(tuple(sorted(face_vertex[f] for f in chain)))
+        ids = tuple(map(face_vertex.__getitem__, faces_of(m)))
+        flags += _flags_picker[(len(m),)](ids)
     return flags
 
 

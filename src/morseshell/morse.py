@@ -16,7 +16,8 @@ from itertools import combinations
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .complexes import SimplicialComplex, Simplex, _Record, betti_numbers_mod2, simplex
+from .complexes import (SimplicialComplex, Simplex, _PerShape, _picker, _Record,
+                         betti_numbers_mod2, simplex)
 from .tiles import MorseTile, interval
 from .tiling import (
     MorseTiling,
@@ -45,7 +46,8 @@ class DiscreteVectorField:
 
     def __init__(self, matching: Mapping[Simplex, Simplex],
                  domain: Iterable[Simplex]) -> None:
-        self.matching: Mapping[Simplex, Simplex] = MappingProxyType(dict(matching))
+        self._matching = dict(matching)  # the walk reads it without the proxy
+        self.matching: Mapping[Simplex, Simplex] = MappingProxyType(self._matching)
         self.domain: frozenset[Simplex] = frozenset(domain)
 
     @cached_property
@@ -119,7 +121,17 @@ def tile_field(t: MorseTile) -> DiscreteVectorField:
 
 
 def _match_tile(t: MorseTile, matching: dict[Simplex, Simplex]) -> None:
-    """Add the canonical matching on a tile's open faces to ``matching``.
+    """Add the canonical matching on a tile's open faces to ``matching``:
+    the pairs of its shape, relabelled through its closure."""
+    if len(t.witnesses) < len(t.closure):  # else the empty tile or an open simplex
+        low, high = _shape_pairs[t._shape]
+        matching.update(zip(low(t.closure), high(t.closure)))
+
+
+@_PerShape
+def _shape_pairs(size: int, witnesses: Simplex, removed: Simplex | None):
+    """The face pickers of the lower and of the upper faces of the
+    canonical matching on the tile of this shape.
 
     Pair each face with its toggle by the least vertex outside the removed
     face (outside the witnesses when absent); faces losing their partner to
@@ -128,10 +140,10 @@ def _match_tile(t: MorseTile, matching: dict[Simplex, Simplex]) -> None:
     closed simplex, the top face on an open one, the face one above the
     witness set on a critical tile, none on regular tiles.
     """
+    t = MorseTile._trusted(tuple(range(size)), frozenset(witnesses), removed)
+    matching: dict[Simplex, Simplex] = {}
     ext = t.extension
     cl = set(t.closure)
-    if t.witnesses == cl:  # the empty tile or an open simplex
-        return
     tau = None if t.removed_face is None else set(t.removed_face)
     w = min(cl - (tau if tau is not None else t.witnesses))
     for f in ext:
@@ -145,6 +157,7 @@ def _match_tile(t: MorseTile, matching: dict[Simplex, Simplex]) -> None:
                 if w2 not in f:
                     matching[f] = tuple(sorted(f + (w2,)))
         # critical: the single stranded face stays unmatched
+    return _picker(list(matching)), _picker(list(matching.values()))
 
 
 def compatible_field(t: MorseTiling) -> DiscreteVectorField:
@@ -166,11 +179,12 @@ def _compatible_field(t: MorseTiling) -> DiscreteVectorField:
 
 
 def _vpath_successors(W: DiscreteVectorField, f: Simplex) -> list[Simplex]:
-    up = W.matching.get(f)
+    matching = W._matching
+    up = matching.get(f)
     if up is None:
         return []
     return [s for s in combinations(up, len(up) - 1)
-            if s != f and s in W.matching]
+            if s != f and s in matching]
 
 
 def _vpath_walk(W: DiscreteVectorField) -> \
@@ -252,7 +266,12 @@ class DiscreteMorseFunction:
 
     @classmethod
     def from_list(cls, rows: Iterable) -> "DiscreteMorseFunction":
-        values = {simplex(f): Fraction(num, den) for f, num, den in rows}
+        values: dict[Simplex, Fraction] = {}
+        for f, num, den in rows:
+            f = simplex(f)
+            if f in values:
+                raise ValueError(f"face {f} has two values")
+            values[f] = Fraction(num, den)
         return cls(values, frozenset(values))
 
 
@@ -269,7 +288,7 @@ def morse_function(W: DiscreteVectorField) -> DiscreteMorseFunction:
     by_dim: dict[int, list[Simplex]] = defaultdict(list)
     for f in W.domain:
         by_dim[len(f) - 1].append(f)
-    images = W.images
+    matching, images = W._matching, W.images
     values: dict[Simplex, Fraction] = {}
     for p, faces in sorted(by_dim.items()):
         # a face of depth d takes p + (d + 1) / den, den = 2 (max depth + 2);
@@ -279,11 +298,11 @@ def morse_function(W: DiscreteVectorField) -> DiscreteMorseFunction:
         level = [Fraction(p)] + [Fraction(p * den + k, den)
                                  for k in range(1, max_depth + 2)]
         for f in faces:
-            if f in W.matching:
+            if f in matching:
                 values[f] = level[depth[f] + 1]
             elif f not in images:
                 values[f] = level[0]
-    for a, b in W.pairs:
+    for a, b in matching.items():
         values[b] = values[a]
     return DiscreteMorseFunction(values, W.domain)
 
@@ -297,8 +316,9 @@ def _drops_and_rises(f: DiscreteMorseFunction) -> \
     settles both.  Values are compared by integer cross-multiplication,
     which is exact because denominators are positive.
     """
-    ratio = {x: (f.values[x].numerator, f.values[x].denominator)
-             for x in f.domain}
+    # per domain face, so that a face without a value raises KeyError
+    values = f.values
+    ratio = {x: values[x].as_integer_ratio() for x in f.domain}
     drops: dict[Simplex, list[Simplex]] = defaultdict(list)
     rises: dict[Simplex, int] = defaultdict(int)
     for c, (cn, cd) in ratio.items():
@@ -329,7 +349,7 @@ def validate_morse_function(f: DiscreteMorseFunction,
     drops, rises = _drops_and_rises(f)
     gradient: dict[Simplex, Simplex] = {}
     unique_drops = True
-    for face in sorted(f.domain, key=lambda x: (len(x), x)):
+    for face in sorted(sorted(f.domain), key=len):
         falling = drops.get(face, ())
         ups = len(falling)
         downs = rises.get(face, 0)

@@ -16,7 +16,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .complexes import Simplex, _Record, simplex
+from .complexes import Simplex, _PerShape, _picker, _Record, faces_of, simplex
 
 
 class NotMorseTileError(ValueError):
@@ -57,14 +57,18 @@ class MorseTile:
 
     @classmethod
     def _trusted(cls, closure: Simplex, witnesses: frozenset[int],
-                 removed_face: Simplex | None) -> "MorseTile":
+                 removed_face: Simplex | None,
+                 shape: tuple | None = None) -> "MorseTile":
         """Trusted constructor, without the checks and normalisation of
         ``__init__``: the fields must already be those of a normalised
         tile, as in a tile the library recognises from canonical faces or
-        relabels by an order-preserving vertex map."""
+        relabels by an order-preserving vertex map.  A relabelled tile may
+        be given the shape of its source."""
         tile = cls.__new__(cls)
         tile.__dict__.update(closure=closure, witnesses=witnesses,
                              removed_face=removed_face)
+        if shape is not None:
+            tile.__dict__["_shape"] = shape
         return tile
 
     # -- basic shape data ------------------------------------------------
@@ -115,14 +119,23 @@ class MorseTile:
         return TileKind("regular", self.dim, self.order, self.removed_dim)
 
     @cached_property
+    def _shape(self) -> tuple[int, Simplex, Simplex | None]:
+        """The closure size and the positions in it of the witnesses and the
+        removed face; tiles of one shape differ by an order-preserving map."""
+        cl, tau = self.closure, self.removed_face
+        return (len(cl), tuple(map(cl.index, sorted(self.witnesses))),
+                None if tau is None else tuple(map(cl.index, tau)))
+
+    @cached_property
     def extension(self) -> frozenset[Simplex]:
         """The open faces making up the tile: the faces between the witness
         set and the closure, minus those up to the removed face."""
         if self.is_empty:
             return frozenset()
-        ext = interval(self.witnesses, self.closure)
-        return ext if self.removed_face is None else \
-            ext - interval(self.witnesses, self.removed_face)
+        whole, removed = _shape_extension[self._shape]
+        ext = frozenset(whole(self.closure))
+        # the set difference of the interval rule, for its iteration order
+        return ext if removed is None else ext - frozenset(removed(self.closure))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -305,6 +318,18 @@ def interval(low: Iterable[int], high: Iterable[int]) -> frozenset[Simplex]:
     return frozenset(phi for r in range(len(rest) + 1)
                      for extra in combinations(rest, r)
                      if (phi := tuple(sorted(low + extra))))
+
+
+@_PerShape
+def _shape_extension(size: int, witnesses: Simplex, removed: Simplex | None):
+    """The face pickers, in ``faces_of`` order, of the interval from the
+    witnesses to the closure and of the interval up to the removed face
+    (None without one): the interval rule on the standard simplex."""
+    faces = list(faces_of(tuple(range(size))))
+    whole = interval(witnesses, faces[-1])
+    cut = None if removed is None else interval(witnesses, removed)
+    return (_picker([f for f in faces if f in whole]),
+            None if cut is None else _picker([f for f in faces if f in cut]))
 
 
 def normalize_tile(faces: Iterable[Simplex]) -> MorseTile:

@@ -18,6 +18,8 @@ from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
 from .complexes import (
     SimplicialComplex,
     Simplex,
+    _PerShape,
+    _picker,
     _Record,
     barycentric_subdivision,
     euler_characteristic,
@@ -392,8 +394,9 @@ def _flags(face: Simplex, witnesses: Sequence[int],
             yield (face,) + flag
 
 
+@_PerShape
 def _tile_template(size: int, witnesses: Simplex, removed: Simplex | None) -> \
-        tuple[tuple[Simplex, ...], list[MorseTile]]:
+        tuple[tuple[Simplex, ...], tuple[MorseTile, ...]]:
     """The subdivided tiles of the tile on the standard simplex 0..size-1
     with the given witness and removed-face positions, and the face of
     positions that each vertex of the standard subdivision splits.
@@ -404,7 +407,7 @@ def _tile_template(size: int, witnesses: Simplex, removed: Simplex | None) -> \
     sd = barycentric_subdivision(make_complex([std]))
     tile = MorseTile(std, frozenset(witnesses), removed)
     if size == 1:  # attach would read an open point as the closed one
-        return sd.vertex_face, [tile]
+        return sd.vertex_face, (tile,)
     ext = tile.extension
     covered = _Covered(lambda f: sd.carrier_face(f) in ext)
     pieces = []
@@ -414,7 +417,7 @@ def _tile_template(size: int, witnesses: Simplex, removed: Simplex | None) -> \
                             covered)
         pieces.append(piece)
         covered.attached |= new
-    return sd.vertex_face, pieces
+    return sd.vertex_face, tuple(pieces)
 
 
 def subdivide_tiling(t: MorseTiling, iterations: int = 1) -> MorseTiling:
@@ -423,35 +426,31 @@ def subdivide_tiling(t: MorseTiling, iterations: int = 1) -> MorseTiling:
 
     Tiles of one shape (closure size, witness and removed-face positions)
     subdivide alike, so each shape is subdivided once on the standard
-    simplex and relabelled onto every tile of that shape: position i is the
-    i-th closure vertex, which keeps the vertex order and the tile order.
+    simplex and relabelled onto every tile of that shape: the standard
+    subdivision's vertex i splits the i-th face of the closure in
+    ``faces_of`` order, which keeps the vertex order and the tile order.
     """
     if iterations < 0:
         raise ValueError("iterations must be non-negative")
     cur = t
     for _ in range(iterations):
         sd = barycentric_subdivision(cur.ambient)
-        fv = sd.face_vertex
-        templates: dict[tuple, tuple[tuple[Simplex, ...], list[MorseTile]]] = {}
+        relabels: dict[tuple, tuple] = {}  # shape -> (picker, piece shapes)
         tiles: list[MorseTile] = []
         for tile in cur.tiles:
-            cl = tile.closure
-            pos = {v: i for i, v in enumerate(cl)}
-            key = (len(cl), tuple(sorted(pos[v] for v in tile.witnesses)),
-                   None if tile.removed_face is None
-                   else tuple(pos[v] for v in tile.removed_face))
-            if key not in templates:
-                templates[key] = _tile_template(*key)
-            subs, pieces = templates[key]
-            # increasing: the ambient numbers faces by (size, vertices), and
-            # the positions map onto the increasing closure
-            ids = [fv[tuple(cl[i] for i in sub)] for sub in subs]
-            for u in pieces:
-                tiles.append(MorseTile._trusted(
-                    tuple(ids[v] for v in u.closure),
-                    frozenset(ids[v] for v in u.witnesses),
-                    None if u.removed_face is None
-                    else tuple(ids[v] for v in u.removed_face)))
+            key = tile._shape
+            if key not in relabels:
+                pieces = _tile_template[key][1]
+                relabels[key] = (_picker([part for u in pieces for part in (
+                    u.closure, sorted(u.witnesses), u.removed_face or ())]),
+                    [u._shape for u in pieces])
+            pick, shapes = relabels[key]
+            # increasing: the ambient numbers faces by (size, vertices), as
+            # faces_of lists them
+            parts = iter(pick(tuple(map(sd.face_vertex.__getitem__,
+                                        faces_of(tile.closure)))))
+            tiles += [MorseTile._trusted(cl, frozenset(ws), tau or None, shape)
+                      for shape, cl, ws, tau in zip(shapes, parts, parts, parts)]
         carrier = sd.complex.faces if cur.covers_complex() else \
             sd.faces_over(cur.carrier)
         cur = MorseTiling(sd.complex, carrier, tuple(tiles), cur.ordered)

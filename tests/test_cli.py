@@ -856,14 +856,16 @@ def test_verify_shelling_text_lists_errors_indented(tmp_path, capsys):
 # -- standard output that cannot be written ----------------------------------
 
 
-def _unwritable_stdout_run(tmp_path, stdout, unbuffered):
+def _unwritable_stdout_run(tmp_path, stdout, unbuffered, argv=None):
     env = dict(os.environ, PYTHONPATH=SRC)
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    path = write_complex(tmp_path, moebius_kantor_torus())
+    if argv is None:
+        argv = ["betti", "--complex",
+                write_complex(tmp_path, moebius_kantor_torus())]
     proc = subprocess.run(
-        [sys.executable, "-m", "morseshell.cli", "betti", "--complex", path],
+        [sys.executable, "-m", "morseshell.cli", *argv],
         stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
@@ -887,6 +889,30 @@ def test_stdout_pipe_without_reader_exits_2(tmp_path, unbuffered):
 def test_stdout_on_a_full_device_exits_2(tmp_path, unbuffered):
     with open("/dev/full", "w") as full:
         _unwritable_stdout_run(tmp_path, full, unbuffered)
+
+
+# argparse drops a failed write of the help text; unbuffered, nothing is
+# left for the final flush to fail on
+HELP_ARGV = [["--help"], ["betti", "--help"]]
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("argv", HELP_ARGV, ids=" ".join)
+def test_help_to_a_pipe_without_reader_exits_2(tmp_path, argv, unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        _unwritable_stdout_run(tmp_path, write_end, unbuffered, argv)
+    finally:
+        os.close(write_end)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("argv", HELP_ARGV, ids=" ".join)
+def test_help_on_a_full_device_exits_2(tmp_path, argv, unbuffered):
+    with open("/dev/full", "w") as full:
+        _unwritable_stdout_run(tmp_path, full, unbuffered, argv)
 
 
 # -- reports independent of the hash seed ------------------------------------
