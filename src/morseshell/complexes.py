@@ -11,9 +11,9 @@ threads.
 from __future__ import annotations
 
 from collections import defaultdict
-from functools import cached_property, update_wrapper
+from functools import cached_property
 from itertools import accumulate, chain, combinations, permutations
-from operator import itemgetter, sub
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
 
@@ -65,14 +65,8 @@ def facets_of(s: Simplex) -> Iterator[Simplex]:
 
 
 def _picker(parts: Sequence[Sequence[int]]) -> Callable[[tuple], tuple[tuple, ...]]:
-    """A function taking a tuple to the tuple of its sub-tuples at the
-    given increasing lists of positions, by C-level ``itemgetter``: one of
-    slices when each of two or more lists is a non-empty arithmetic
-    progression (as faces on at most three vertices are), else one of
-    items, then one of slices."""
-    if len(parts) > 1 and all(p and len(set(map(sub, p[1:], p))) < 2 for p in parts):
-        return itemgetter(*[slice(p[0], p[-1] + 1, p[1] - p[0] if len(p) > 1 else 1)
-                            for p in parts])
+    """A function taking a tuple to the tuple of its sub-tuples at the given
+    lists of positions, by C-level getters: one of items, then one of slices."""
     ends = list(accumulate(map(len, parts), initial=0))
     # spare items, so that each getter returns a tuple for any count
     flat = itemgetter(*chain.from_iterable(parts), 0, 0)
@@ -81,23 +75,17 @@ def _picker(parts: Sequence[Sequence[int]]) -> Callable[[tuple], tuple[tuple, ..
 
 
 class _PerShape(dict):
-    """``build(*key)`` for keys led by a simplex size, kept for sizes up to
-    ``LIMIT``, which have finitely many shapes; read as ``cache[key]`` or
-    ``cache(*key)``."""
+    """``build(*key)`` read as ``cache[key]``, for keys led by a simplex
+    size, kept for sizes up to ``limit``, which have finitely many shapes."""
 
-    LIMIT = 6
-
-    def __init__(self, build: Callable) -> None:
-        update_wrapper(self, build)
+    def __init__(self, build: Callable, limit: int = 6) -> None:
+        self.build, self.limit = build, limit
 
     def __missing__(self, key: tuple):
-        value = self.__wrapped__(*key)
-        if key[0] <= self.LIMIT:
+        value = self.build(*key)
+        if key[0] <= self.limit:
             self[key] = value
         return value
-
-    def __call__(self, *key):
-        return self[key]
 
 
 class SimplicialComplex:
@@ -308,11 +296,10 @@ def single_face_intersection(K: SimplicialComplex, L: SimplicialComplex) -> bool
 
 
 def _gf2_pivots(rows: Iterable[int]) -> dict[int, int]:
-    """Pivot rows of a GF(2) matrix of int bitsets by leading bit, found by
-    elimination with pivot lookup by leading bit: a row is XORed only with
-    the pivot that shares its leading bit, until it vanishes or its leading
-    bit is new (the persistence reduction of Edelsbrunner, Letscher and
-    Zomorodian)."""
+    """Pivot rows by leading bit of a GF(2) matrix of int bitsets: a row is
+    XORed only with the pivot that shares its leading bit, until it vanishes
+    or its leading bit is new (the persistence reduction of Edelsbrunner,
+    Letscher and Zomorodian)."""
     pivots: dict[int, int] = {}  # leading bit -> pivot row
     for row in rows:
         while row:

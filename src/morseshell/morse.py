@@ -179,12 +179,11 @@ def _compatible_field(t: MorseTiling) -> DiscreteVectorField:
 
 
 def _vpath_successors(W: DiscreteVectorField, f: Simplex) -> list[Simplex]:
-    matching = W._matching
-    up = matching.get(f)
+    up = W._matching.get(f)
     if up is None:
         return []
     return [s for s in combinations(up, len(up) - 1)
-            if s != f and s in matching]
+            if s != f and s in W._matching]
 
 
 def _vpath_walk(W: DiscreteVectorField) -> \
@@ -317,8 +316,7 @@ def _drops_and_rises(f: DiscreteMorseFunction) -> \
     which is exact because denominators are positive.
     """
     # per domain face, so that a face without a value raises KeyError
-    values = f.values
-    ratio = {x: values[x].as_integer_ratio() for x in f.domain}
+    ratio = {x: f.values[x].as_integer_ratio() for x in f.domain}
     drops: dict[Simplex, list[Simplex]] = defaultdict(list)
     rises: dict[Simplex, int] = defaultdict(int)
     for c, (cn, cd) in ratio.items():

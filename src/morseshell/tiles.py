@@ -62,8 +62,7 @@ class MorseTile:
         """Trusted constructor, without the checks and normalisation of
         ``__init__``: the fields must already be those of a normalised
         tile, as in a tile the library recognises from canonical faces or
-        relabels by an order-preserving vertex map.  A relabelled tile may
-        be given the shape of its source."""
+        relabels by an order-preserving map, which keeps its ``shape``."""
         tile = cls.__new__(cls)
         tile.__dict__.update(closure=closure, witnesses=witnesses,
                              removed_face=removed_face)

@@ -11,7 +11,7 @@ prefixes are all traces of subcomplexes.
 from __future__ import annotations
 
 from collections import Counter
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import combinations
 from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
 
@@ -394,9 +394,8 @@ def _flags(face: Simplex, witnesses: Sequence[int],
             yield (face,) + flag
 
 
-@_PerShape
 def _tile_template(size: int, witnesses: Simplex, removed: Simplex | None) -> \
-        tuple[tuple[Simplex, ...], tuple[MorseTile, ...]]:
+        tuple[tuple[Simplex, ...], list[MorseTile]]:
     """The subdivided tiles of the tile on the standard simplex 0..size-1
     with the given witness and removed-face positions, and the face of
     positions that each vertex of the standard subdivision splits.
@@ -407,7 +406,7 @@ def _tile_template(size: int, witnesses: Simplex, removed: Simplex | None) -> \
     sd = barycentric_subdivision(make_complex([std]))
     tile = MorseTile(std, frozenset(witnesses), removed)
     if size == 1:  # attach would read an open point as the closed one
-        return sd.vertex_face, (tile,)
+        return sd.vertex_face, [tile]
     ext = tile.extension
     covered = _Covered(lambda f: sd.carrier_face(f) in ext)
     pieces = []
@@ -417,7 +416,20 @@ def _tile_template(size: int, witnesses: Simplex, removed: Simplex | None) -> \
                             covered)
         pieces.append(piece)
         covered.attached |= new
-    return sd.vertex_face, tuple(pieces)
+    return sd.vertex_face, pieces
+
+
+# tetrahedra at most: the data of all 536 shapes on 6 vertices, 720 pieces
+# each, would take about 190 MiB
+@partial(_PerShape, limit=4)
+def _tile_relabel(size: int, witnesses: Simplex, removed: Simplex | None):
+    """The picker of the closures, witness sets and removed faces (empty
+    when absent) of the template's pieces out of the subdivision ids of
+    the closure's faces in ``faces_of`` order, and the pieces' shapes."""
+    pieces = _tile_template(size, witnesses, removed)[1]
+    return (_picker([part for u in pieces for part in (
+        u.closure, sorted(u.witnesses), u.removed_face or ())]),
+        [u._shape for u in pieces])
 
 
 def subdivide_tiling(t: MorseTiling, iterations: int = 1) -> MorseTiling:
@@ -435,15 +447,13 @@ def subdivide_tiling(t: MorseTiling, iterations: int = 1) -> MorseTiling:
     cur = t
     for _ in range(iterations):
         sd = barycentric_subdivision(cur.ambient)
-        relabels: dict[tuple, tuple] = {}  # shape -> (picker, piece shapes)
+        # per round too, for shapes past the cache's limit
+        relabels: dict[tuple, tuple] = {}
         tiles: list[MorseTile] = []
         for tile in cur.tiles:
             key = tile._shape
             if key not in relabels:
-                pieces = _tile_template[key][1]
-                relabels[key] = (_picker([part for u in pieces for part in (
-                    u.closure, sorted(u.witnesses), u.removed_face or ())]),
-                    [u._shape for u in pieces])
+                relabels[key] = _tile_relabel[key]
             pick, shapes = relabels[key]
             # increasing: the ambient numbers faces by (size, vertices), as
             # faces_of lists them

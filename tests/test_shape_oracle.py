@@ -206,11 +206,43 @@ def test_a_seven_vertex_tile_is_computed_and_not_cached():
     tile_field(small)
     tiling.subdivide_tile(small)
     for cache in (tiles._shape_extension, morse._shape_pairs,
-                  tiling._tile_template):
+                  tiling._tile_relabel):
         assert (3, (), None) in cache
-        assert all(key[0] <= 6 for key in cache)
+        assert all(key[0] <= cache.limit <= 6 for key in cache)
     assert (3,) in complexes._flags_picker
     assert all(key[0] <= 6 for key in complexes._flags_picker)
+
+
+def test_templates_are_kept_for_tetrahedra_at_most():
+    # every shape's template on at most 6 vertices would keep about 190 MiB
+    for size in (4, 5):
+        tiling.subdivide_tile(MorseTile(tuple(range(size)), frozenset({0})))
+    assert (4, (0,), None) in tiling._tile_relabel
+    assert (5, (0,), None) not in tiling._tile_relabel
+    assert all(key[0] <= 4 for key in tiling._tile_relabel)
+
+
+def test_a_round_builds_each_uncached_template_once(monkeypatch):
+    built = []
+    build = tiling._tile_relabel.build
+    monkeypatch.setattr(tiling._tile_relabel, "build",
+                        lambda *key: built.append(key) or build(*key))
+    t = tiling.subdivide_tile(MorseTile(tuple(range(5))))
+    shapes = {u._shape for u in t.tiles}
+    assert len(t.tiles) == 120 and len(shapes) < 120
+    built.clear()
+    tiling.subdivide_tiling(t)
+    assert len(built) == len(shapes) and set(built) == shapes
+
+
+def test_the_tile_template_is_built_on_every_call():
+    # only the relabel data is kept, so a reader of the template builds it
+    # and the pieces' tiles are not kept for the process
+    first, again = tiling._tile_template(3, (1,), None), \
+        tiling._tile_template(3, (1,), None)
+    assert first == again and first[1] is not again[1]
+    pick, shapes = tiling._tile_relabel[(3, (1,), None)]
+    assert shapes == [u._shape for u in first[1]]
 
 
 # -- maximal flags --------------------------------------------------------------
