@@ -179,9 +179,8 @@ def _compatible_field(t: MorseTiling) -> DiscreteVectorField:
 
 
 def _vpath_successors(W: DiscreteVectorField, f: Simplex) -> list[Simplex]:
-    up = W._matching.get(f)
-    if up is None:
-        return []
+    """The matched facets, other than f, of the partner of a matched f."""
+    up = W._matching[f]
     return [s for s in combinations(up, len(up) - 1)
             if s != f and s in W._matching]
 

@@ -394,39 +394,32 @@ def _flags(face: Simplex, witnesses: Sequence[int],
             yield (face,) + flag
 
 
-def _tile_template(size: int, witnesses: Simplex, removed: Simplex | None) -> \
-        tuple[tuple[Simplex, ...], list[MorseTile]]:
-    """The subdivided tiles of the tile on the standard simplex 0..size-1
-    with the given witness and removed-face positions, and the face of
-    positions that each vertex of the standard subdivision splits.
-
-    Each flag is attached in facet-descent order, with the subdivision
-    faces off the tile counted as covered."""
-    std = tuple(range(size))
-    sd = barycentric_subdivision(make_complex([std]))
-    tile = MorseTile(std, frozenset(witnesses), removed)
-    if size == 1:  # attach would read an open point as the closed one
-        return sd.vertex_face, [tile]
-    ext = tile.extension
-    covered = _Covered(lambda f: sd.carrier_face(f) in ext)
-    pieces = []
-    for flag in _flags(std, witnesses, removed or ()):
-        # ids grow with face size, so the sorted flag runs bottom up
-        piece, new = attach(tuple(sd.face_vertex[f] for f in reversed(flag)),
-                            covered)
-        pieces.append(piece)
-        covered.attached |= new
-    return sd.vertex_face, pieces
-
-
 # tetrahedra at most: the data of all 536 shapes on 6 vertices, 720 pieces
-# each, would take about 190 MiB
+# each, took about 195 MiB, against 5 MiB up to 4 vertices
 @partial(_PerShape, limit=4)
 def _tile_relabel(size: int, witnesses: Simplex, removed: Simplex | None):
-    """The picker of the closures, witness sets and removed faces (empty
-    when absent) of the template's pieces out of the subdivision ids of
-    the closure's faces in ``faces_of`` order, and the pieces' shapes."""
-    pieces = _tile_template(size, witnesses, removed)[1]
+    """The subdivision of the tile on the standard simplex 0..size-1 with
+    the given witness and removed-face positions: the picker of its pieces'
+    closures, witness sets and removed faces (empty when absent) out of the
+    ids of the closure's faces, and the pieces' shapes.  Id i splits the
+    i-th face in ``faces_of`` order, as in :func:`barycentric_subdivision`;
+    each flag is attached in facet-descent order, with the faces off the
+    tile counted as covered."""
+    std = tuple(range(size))
+    tile = MorseTile(std, frozenset(witnesses), removed)
+    pieces = [tile]  # a point: attach would read it open as the closed one
+    if size > 1:
+        faces = list(faces_of(std))
+        number = {f: i for i, f in enumerate(faces)}
+        # a flag's carrier is its largest face, which has the largest id
+        covered = _Covered(lambda f: faces[f[-1]] in tile.extension)
+        pieces = []
+        for flag in _flags(std, witnesses, removed or ()):
+            # ids grow with face size, so the reversed flag runs bottom up
+            piece, new = attach(tuple(number[f] for f in reversed(flag)),
+                                covered)
+            pieces.append(piece)
+            covered.attached |= new
     return (_picker([part for u in pieces for part in (
         u.closure, sorted(u.witnesses), u.removed_face or ())]),
         [u._shape for u in pieces])

@@ -12,30 +12,25 @@ u -> duud, d -> dd applied to every letter at once.
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .complexes import SimplicialComplex, Simplex, make_complex
+from .complexes import SimplicialComplex, Simplex, _Record, make_complex
 
 ALPHABET = "du"
 
 
-@dataclass(frozen=True)
-class CyclicWord:
+class CyclicWord(_Record):
     """A cyclic word stored as its lexicographically least rotation."""
 
-    letters: str
-
-    def __post_init__(self) -> None:
-        if not self.letters:
+    def __init__(self, letters: str) -> None:
+        if not letters:
             raise ValueError("empty word")
-        if set(self.letters) - set(ALPHABET):
+        if set(letters) - set(ALPHABET):
             raise ValueError(f"letters must come from '{ALPHABET}'")
-        k = _least_rotation(self.letters)
-        object.__setattr__(self, "letters",
-                           self.letters[k:] + self.letters[:k])
+        k = _least_rotation(letters)
+        self.letters = letters[k:] + letters[:k]
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -111,11 +106,11 @@ def word_subdivide(w: CyclicWord) -> CyclicWord:
     return CyclicWord("".join("duud" if c == "u" else "dd" for c in w.letters))
 
 
-@dataclass(frozen=True)
-class RewriteStep:
-    op: str  # "compress" | "suppress" | "subdivide"
-    position: int | None
-    result: CyclicWord
+class RewriteStep(_Record):
+    def __init__(self, op: str, position: int | None, result: CyclicWord) -> None:
+        self.op = op  # "compress" | "suppress" | "subdivide"
+        self.position = position
+        self.result = result
 
     def to_dict(self) -> dict:
         return {"op": self.op, "position": self.position,
@@ -197,13 +192,14 @@ def reduce_word(w: CyclicWord) -> list[RewriteStep]:
 # -- simple annulus triangulations -------------------------------------------
 
 
-@dataclass(frozen=True)
-class Annulus:
+class Annulus(_Record):
     """A simple annulus triangulation with its two boundary vertex sets."""
 
-    complex: SimplicialComplex
-    boundary_d: frozenset[int]
-    boundary_u: frozenset[int]
+    def __init__(self, complex: SimplicialComplex, boundary_d: frozenset[int],
+                 boundary_u: frozenset[int]) -> None:
+        self.complex = complex
+        self.boundary_d = boundary_d
+        self.boundary_u = boundary_u
 
 
 def _block_count(letters: str, letter: str) -> int:

@@ -106,7 +106,7 @@ def test_field_vpath_morse_function_loop(tmp_path, capsys):
     assert code == 0
     data = json.loads(out)
     assert data["valid"] is True and data["gradient_matches"] is True
-    rows = json.loads(open(mpath).read())
+    rows = json.loads(Path(mpath).read_text())
     assert all(len(r) == 3 for r in rows)
 
 
@@ -116,7 +116,7 @@ def test_shell_surface_start_flag(tmp_path, capsys):
     code, out, _ = run(capsys, "shell-surface", "--complex", cpath,
                        "--start", "1,2,3", "--out", spath)
     assert code == 0
-    data = json.loads(open(spath).read())
+    data = json.loads(Path(spath).read_text())
     assert data["tiles"][0]["closure"] == [1, 2, 3]
     code, _, err = run(capsys, "shell-surface", "--complex", cpath,
                        "--start", "0,1,9")

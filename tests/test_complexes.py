@@ -13,7 +13,7 @@ from morseshell.catalog import (
     untileable_wheel,
 )
 from morseshell.complexes import (
-    _gf2_rank,
+    _gf2_pivots,
     barycentric_subdivision,
     betti_numbers_mod2,
     connected_components,
@@ -284,21 +284,21 @@ def test_gf2_rank_matches_dense_elimination():
         if rows and rng.random() < 0.5:  # duplicate rows and zero rows
             rows += [rng.choice(rows), 0]
             rng.shuffle(rows)
-        assert _gf2_rank(rows) == dense_gf2_rank(rows, ncols), rows
+        assert len(_gf2_pivots(rows)) == dense_gf2_rank(rows, ncols), rows
 
 
 def test_gf2_rank_edge_cases():
-    assert _gf2_rank([]) == 0
-    assert _gf2_rank([0, 0, 0]) == 0
-    assert _gf2_rank([0b101, 0b101, 0b101]) == 1
-    assert _gf2_rank([0b011, 0b110, 0b101]) == 2  # rows sum to zero
+    assert len(_gf2_pivots([])) == 0
+    assert len(_gf2_pivots([0, 0, 0])) == 0
+    assert len(_gf2_pivots([0b101, 0b101, 0b101])) == 1
+    assert len(_gf2_pivots([0b011, 0b110, 0b101])) == 2  # rows sum to zero
     rng = random.Random(5)
     for n in range(1, 20):
         # full rank: a random upper unitriangular matrix, rows shuffled
         rows = [(1 << i) | (rng.getrandbits(n) >> (i + 1) << (i + 1))
                 for i in range(n)]
         rng.shuffle(rows)
-        assert _gf2_rank(rows) == n == dense_gf2_rank(rows, n)
+        assert len(_gf2_pivots(rows)) == n == dense_gf2_rank(rows, n)
 
 
 def test_betti_alternating_sum_is_euler():
@@ -423,3 +423,51 @@ def test_complex_json_round_trip():
     K = boundary_simplex(3)
     from morseshell.complexes import SimplicialComplex
     assert SimplicialComplex.from_dict(K.to_dict()) == K
+
+
+# -- equality, hashing and printing; rejected inputs ------------------------
+
+
+def test_complexes_equal_and_hash_alike_by_maximal_simplices():
+    K = make_complex([(0, 1), (1, 2)], name="path")
+    same = make_complex([(2, 1), (1,), (0, 1)])  # the name is not compared
+    assert K == same and hash(K) == hash(same)
+    assert len({K, same, make_complex([(0, 1)])}) == 2
+    assert (K == K.maximal_simplices) is False
+    assert K.__eq__("path") is NotImplemented
+    assert repr(K) == "SimplicialComplex(2 maximal, dim 1 'path')"
+    assert repr(same) == "SimplicialComplex(2 maximal, dim 1)"
+
+
+def test_negative_skeleton_dimension_is_rejected():
+    with pytest.raises(ValueError, match="^skeleton dimension must be"
+                       " non-negative$"):
+        skeleton(full_simplex(2), -1)
+
+
+def test_star_of_a_missing_vertex_is_rejected():
+    with pytest.raises(ValueError, match="^vertex 9 is not in the complex$"):
+        star(full_simplex(2), 9)
+
+
+def test_subdividing_a_non_subcomplex_is_rejected():
+    sd = barycentric_subdivision(make_complex([(0, 1), (1, 2)]))
+    with pytest.raises(ValueError, match="^not a subcomplex of the base$"):
+        sd.subcomplex(make_complex([(0, 2)]))
+
+
+def test_a_simplex_meeting_in_an_edge_and_a_vertex_is_not_single_face():
+    # the triangle meets the subcomplex in the edge (0, 1) plus the vertex 3
+    K = make_complex([(0, 1, 3)])
+    assert not single_face_intersection(K, make_complex([(0, 1), (3,)]))
+    assert single_face_intersection(K, make_complex([(0, 1)]))
+
+
+def test_catalog_rejects_grids_too_small_to_stay_simplicial():
+    from morseshell.catalog import bipyramid
+    with pytest.raises(ValueError, match="^the equator needs at least three"
+                       " vertices$"):
+        bipyramid(2)
+    with pytest.raises(ValueError, match="^grid too small to stay"
+                       " simplicial$"):
+        klein_bottle(3, 3)

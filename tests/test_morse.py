@@ -605,3 +605,21 @@ def test_morse_function_reports_the_closed_vpath_of_a_cyclic_field():
         morse_function(W)
     assert exc.value.cycle == cycle
     assert str(exc.value) == "closed V-path of length 3 through (0,)"
+
+
+# -- rejected inputs ----------------------------------------------------------
+
+
+def test_validate_field_reports_a_pair_off_the_domain():
+    W = DiscreteVectorField({(0,): (0, 1)}, [(0,)])
+    rep = validate_field(W)
+    assert not rep.valid
+    assert rep.errors == ["pair ((0,), (0, 1)) leaves the domain"]
+
+
+def test_is_vpath_rejects_a_move_off_a_critical_face_and_a_bad_step():
+    W = DiscreteVectorField({(0,): (0, 1)}, [(0,), (1,), (0, 1)])
+    assert is_vpath(W, [(0,), (1,)]) and is_vpath(W, [(1,), (1,)])
+    assert not is_vpath(W, [(1,), (0,)])  # (1,) is unmatched
+    assert not is_vpath(W, [(0,), (0,)])  # a matched face must move on
+    assert not is_vpath(W, [(0,), (2,)])  # not a facet of (0, 1)

@@ -85,7 +85,7 @@ def old_betti_numbers_mod2(K):
             for fac in combinations(f, len(f) - 1):
                 mask |= 1 << lower[fac]
             rows.append(mask)
-        ranks[p] = complexes._gf2_rank(rows)
+        ranks[p] = len(complexes._gf2_pivots(rows))
     fv = K.f_vector
     return [fv[p] - ranks[p] - ranks[p + 1] for p in range(n + 1)]
 
@@ -235,14 +235,43 @@ def test_a_round_builds_each_uncached_template_once(monkeypatch):
     assert len(built) == len(shapes) and set(built) == shapes
 
 
-def test_the_tile_template_is_built_on_every_call():
-    # only the relabel data is kept, so a reader of the template builds it
-    # and the pieces' tiles are not kept for the process
-    first, again = tiling._tile_template(3, (1,), None), \
-        tiling._tile_template(3, (1,), None)
-    assert first == again and first[1] is not again[1]
-    pick, shapes = tiling._tile_relabel[(3, (1,), None)]
-    assert shapes == [u._shape for u in first[1]]
+def old_tile_template(size, witnesses, removed):
+    """The earlier ``_tile_template``: the vertex-face numbering of a built
+    subdivision of the standard simplex, and the pieces of the tile's
+    subdivision attached on it."""
+    std = tuple(range(size))
+    sd = barycentric_subdivision(make_complex([std]))
+    tile = MorseTile(std, frozenset(witnesses), removed)
+    if size == 1:  # attach would read an open point as the closed one
+        return sd.vertex_face, [tile]
+    ext = tile.extension
+    covered = tiling._Covered(lambda f: sd.carrier_face(f) in ext)
+    pieces = []
+    for flag in tiling._flags(std, witnesses, removed or ()):
+        piece, new = tiling.attach(
+            tuple(sd.face_vertex[f] for f in reversed(flag)), covered)
+        pieces.append(piece)
+        covered.attached |= new
+    return sd.vertex_face, pieces
+
+
+def test_the_relabel_data_matches_the_template_oracle():
+    # the relabel data is the picker applied to the closure's face ids, in
+    # faces_of order, and the pieces' shapes
+    count = 0
+    for size in range(1, 6):
+        std = tuple(range(size))
+        for key in sorted({t._shape for t in shapes(size)}, key=repr):
+            vertex_face, pieces = old_tile_template(*key)
+            assert vertex_face == tuple(faces_of(std))
+            pick, piece_shapes = tiling._tile_relabel.build(*key)
+            assert pick(tuple(range(len(vertex_face)))) == tuple(
+                part for u in pieces for part in (
+                    u.closure, tuple(sorted(u.witnesses)),
+                    u.removed_face or ())), key
+            assert piece_shapes == [u._shape for u in pieces], key
+            count += 1
+    assert count == 230
 
 
 # -- maximal flags --------------------------------------------------------------

@@ -397,9 +397,8 @@ def test_face_numbering_readers_build_no_flags(monkeypatch):
     assert sd.vertex_face == tuple(sorted(t.ambient.faces,
                                           key=lambda f: (len(f), f)))
     assert pack_simplices(t) == packed
-    subs, pieces = tiling._tile_template(6, (), None)
-    assert len(subs) == 2 ** 6 - 1
-    assert len(pieces) == math.factorial(6)
+    _, shapes = tiling._tile_relabel.build(6, (), None)
+    assert len(shapes) == math.factorial(6)
 
 
 # mixed-dimensional complexes on up to 7 vertices, up to 8 simplices of

@@ -394,3 +394,55 @@ def test_normalize_against_brute_force_recognizer():
             hits += 1
             assert normalize_tile(subset).extension == subset
     assert hits == len(extensions)
+
+
+# -- equality, hashing and printing; rejected inputs ------------------------
+
+
+def test_tiles_equal_and_hash_alike_after_normalisation():
+    # a removed facet normalises to one more witness
+    t = MorseTile((0, 1, 2), frozenset(), (1, 2))
+    same = MorseTile((0, 1, 2), frozenset({0}))
+    assert t == same and hash(t) == hash(same)
+    assert len({t, same, MorseTile((0, 1, 2))}) == 2
+    assert (t == t.to_dict()) is False
+    assert t.__eq__((0, 1, 2)) is NotImplemented
+    assert repr(t) == "MorseTile(closure=(0, 1, 2), witnesses=(0,))"
+    assert repr(MorseTile((0, 1, 2, 3), frozenset({1}), (0, 1))) == \
+        "MorseTile(closure=(0, 1, 2, 3), witnesses=(1,), removed=(0, 1))"
+    assert repr(EMPTY_TILE) == "MorseTile(empty)"
+
+
+@pytest.mark.parametrize("args,message", [
+    (((0, 1, 2), frozenset(), (3,)), "removed face must be a face of the closure"),
+    (((), frozenset({0})), "the empty tile has no witnesses or removed face"),
+])
+def test_tile_construction_rejects(args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        MorseTile(*args)
+
+
+def test_a_tile_read_from_a_non_mapping_is_rejected():
+    with pytest.raises(TypeError, match=r"^a tile must be an object, got"
+                       r" \[0, 1\]$"):
+        MorseTile.from_dict([0, 1])
+
+
+def test_boundary_partition_rejects_a_point_and_a_bad_facet_order():
+    with pytest.raises(ValueError, match="^boundary partition needs dimension"
+                       " at least 1$"):
+        boundary_partition(MorseTile((4,)))
+    with pytest.raises(ValueError, match="^facet order must be a permutation"
+                       " of the remaining facet witnesses$"):
+        boundary_partition(MorseTile((0, 1, 2)), [0, 1])
+
+
+def test_critical_tile_rejects_an_index_out_of_range():
+    with pytest.raises(ValueError, match=r"^index must lie in 0\.\.2, got 3$"):
+        critical_tile(2, 3)
+
+
+def test_negative_skeleton_partition_dimension_is_rejected():
+    with pytest.raises(ValueError, match="^skeleton dimension must be"
+                       " non-negative$"):
+        skeleton_partition(MorseTile((0, 1, 2)), -1)

@@ -557,3 +557,14 @@ def test_tiling_from_dict_requires_a_bool_ordered_flag():
     assert MorseTiling.from_dict(data | {"ordered": False}).ordered is False
     del data["ordered"]
     assert MorseTiling.from_dict(data).ordered is False
+
+
+def test_negative_skeleton_dimension_and_iteration_counts_are_rejected():
+    from morseshell.tiling import subdivide_tiling
+    t = classical_shelling_order(make_complex([(0, 1, 2)]), [(0, 1, 2)])
+    with pytest.raises(ValueError, match="^skeleton dimension must be"
+                       " non-negative$"):
+        skeleton_tiling(t, -1)
+    with pytest.raises(ValueError, match="^iterations must be"
+                       " non-negative$"):
+        subdivide_tiling(t, -1)

@@ -255,3 +255,81 @@ def test_word_of_annulus_rejects_bad_input():
                         ann.boundary_u)
     with pytest.raises(ValueError):
         word_of_annulus(boundary_sphere(3), frozenset({0, 1}), frozenset({2, 3}))
+
+
+# -- records: equality, hashing and printing --------------------------------
+
+
+def test_words_equal_and_hash_alike_by_rotation():
+    w = word("uduudd")
+    same = word("dduduu")
+    assert w == same and hash(w) == hash(same) == hash(("dduduu",))
+    assert len({w, same, word("ududdu")}) == 2
+    assert (w == "dduduu") is False
+    assert w.__eq__("dduduu") is NotImplemented
+
+
+def test_records_print_as_their_fields():
+    w = word("uduudd")
+    assert repr(w) == "CyclicWord(letters='dduduu')"
+    assert repr(reduce_word(word("uuudddud"))[0]) == \
+        "RewriteStep(op='compress', position=0," \
+        " result=CyclicWord(letters='dduduuu'))"
+    assert repr(RewriteStep("subdivide", None, w)) == \
+        "RewriteStep(op='subdivide', position=None," \
+        " result=CyclicWord(letters='dduduu'))"
+    assert repr(annulus_of_word(word("ududud"))) == \
+        "Annulus(complex=SimplicialComplex(6 maximal, dim 2" \
+        " 'annulus-dududu'), boundary_d=frozenset({0, 1, 2})," \
+        " boundary_u=frozenset({3, 4, 5}))"
+
+
+def test_steps_and_annuli_equal_and_hash_by_fields():
+    step = RewriteStep("compress", 0, word("uuuddd"))
+    same = RewriteStep("compress", 0, word("ddduuu"))
+    assert step == same and hash(step) == hash(same)
+    assert step != RewriteStep("compress", 1, word("uuuddd"))
+    a, b = annulus_of_word(word("ududud")), annulus_of_word(word("dududu"))
+    assert a == b and hash(a) == hash(b)
+    assert (a == a.complex) is False
+
+
+# -- rejected inputs ----------------------------------------------------------
+
+
+def test_an_unknown_rewrite_is_rejected():
+    w = word("uuuddd")
+    with pytest.raises(ValueError, match="^unknown rewrite 'flip'$"):
+        apply_step(w, RewriteStep("flip", None, w))
+
+
+def shifted(K, by):
+    return [tuple(v + by for v in m) for m in K.maximal_simplices]
+
+
+A = annulus_of_word(word("ududud"))  # d side 0, 1, 2; u side 3, 4, 5
+TWO = list(A.complex.maximal_simplices)
+
+
+@pytest.mark.parametrize("triangles,bd,bu,message", [
+    (TWO, {0, 1, 2, 3}, {3, 4, 5}, "boundary vertex sets overlap"),
+    (TWO, {0, 1}, {3, 4, 5}, "not simple: interior vertices present"),
+    (TWO + [(0, 6)], {0, 1, 2, 6}, {3, 4, 5}, "not a pure two-dimensional"
+     " complex"),
+    ([(0, 1, 2)], {0, 1, 2}, (), r"not simple: triangle \(0, 1, 2\) has no"
+     " single base edge on one boundary"),
+    ([(0, 1, 2), (0, 1, 3)], {0, 1}, {2, 3}, r"base edge \(0, 1\) is not on"
+     " the boundary"),
+    ([(0, 1, 2)], {0, 1}, {2}, r"interior edge \(0, 2\) is not shared by two"
+     " triangles"),
+    # two annuli pinched at the d-vertex 0
+    (TWO + [tuple(sorted(0 if v == 6 else v for v in m))
+            for m in shifted(A.complex, 6)],
+     {0, 1, 2, 7, 8}, {3, 4, 5, 9, 10, 11},
+     "a boundary vertex set is not a single cycle"),
+    (TWO + shifted(A.complex, 6), {0, 1, 2, 6, 7, 8}, {3, 4, 5, 9, 10, 11},
+     "the triangles do not form a single annulus cycle"),
+])
+def test_word_of_annulus_rejects(triangles, bd, bu, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        word_of_annulus(make_complex(triangles), bd, bu)
